@@ -2,13 +2,31 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cmath>
 #include <numeric>
 #include <stdexcept>
 
 namespace vafs::core {
 
+void VafsConfig::validate() const {
+  const auto require = [](bool ok, const char* what) {
+    if (!ok) throw ConfigError(std::string("VafsConfig: ") + what);
+  };
+  const double doubles[] = {safety_margin,           startup_margin,
+                            predictor.ewma_alpha,    predictor.quantile,
+                            protocol_cycles_per_byte, default_throughput_mbps,
+                            audio_cycles_per_frame,  cold_start_fraction};
+  for (const double v : doubles) require(std::isfinite(v), "non-finite field");
+  require(safety_margin > -1.0 && startup_margin > -1.0, "margin must be > -1");
+  require(predictor.quantile >= 0.0 && predictor.quantile <= 1.0,
+          "predictor quantile outside [0, 1]");
+  require(predictor.window >= 1 && predictor.window <= kMaxPredictorWindow,
+          "predictor window outside [1, kMaxPredictorWindow]");
+}
+
 DecisionCore::DecisionCore(const VafsConfig& config, DecisionGeometry geometry)
     : config_(config), geometry_(std::move(geometry)) {
+  config_.validate();
   if (geometry_.clusters.empty() || geometry_.clusters.size() > kMaxDecisionClusters) {
     throw std::invalid_argument("DecisionCore: geometry must have 1.." +
                                 std::to_string(kMaxDecisionClusters) + " clusters, got " +

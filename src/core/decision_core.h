@@ -25,6 +25,7 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -32,6 +33,28 @@
 #include "simcore/time.h"
 
 namespace vafs::core {
+
+/// Setup failure surfaced by run_session instead of an assert: an invalid
+/// configuration (empty kTrace trace, out-of-range fixed_rep) or a device
+/// bring-up failure (VAFS unable to attach through sysfs). The experiment
+/// runner catches these per run and records them with scenario + seed
+/// context instead of aborting the whole grid.
+class SessionError : public std::runtime_error {
+ public:
+  using std::runtime_error::runtime_error;
+};
+
+/// A VafsConfig that VafsConfig::validate() rejects. A SessionError, so an
+/// in-process session records it per task; the daemon answers kBadConfig.
+class ConfigError : public SessionError {
+ public:
+  using SessionError::SessionError;
+};
+
+/// Largest predictor window a config may ask for. Windows are allocated
+/// per representation and frame class, so the cap bounds what one stream
+/// open can make a daemon allocate; every shipped config uses <= 64.
+inline constexpr std::size_t kMaxPredictorWindow = 4096;
 
 /// Deadline-miss / actuation watchdog. When enabled, repeated deadline
 /// misses or consecutive failed scaling_setspeed writes fail the
@@ -115,6 +138,13 @@ struct VafsConfig {
   /// behaviour (a clean VAFS run drops the occasional frame without that
   /// being a failure).
   VafsWatchdogConfig watchdog;
+
+  /// Throws ConfigError unless the decision core can run this config:
+  /// every double finite, both margin factors (1 + margin) positive, the
+  /// quantile in [0, 1] and the predictor window in [1,
+  /// kMaxPredictorWindow]. Negative margins are legal (F6 sweeps down to
+  /// -0.60).
+  void validate() const;
 };
 
 /// Hard cap on clusters a decision spans — wide enough for any registry

@@ -7,7 +7,6 @@
 #include <cstdint>
 #include <functional>
 #include <list>
-#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -44,16 +43,6 @@ enum class AbrKind { kFixed, kRate, kBuffer, kBola };
 
 const char* net_profile_name(NetProfile p);
 const char* abr_kind_name(AbrKind k);
-
-/// Setup failure surfaced by run_session instead of an assert: an invalid
-/// configuration (empty kTrace trace, out-of-range fixed_rep) or a device
-/// bring-up failure (VAFS unable to attach through sysfs). The experiment
-/// runner catches these per run and records them with scenario + seed
-/// context instead of aborting the whole grid.
-class SessionError : public std::runtime_error {
- public:
-  using std::runtime_error::runtime_error;
-};
 
 struct SessionConfig {
   /// A registered kernel governor name, or "vafs" for the userspace

@@ -8,47 +8,19 @@
 #include <cstring>
 #include <map>
 
-#include "core/session.h"
-
 namespace vafs::serve {
 namespace {
+
+// Every reply fits; a larger one (none exists today) grows the buffer.
+constexpr std::size_t kInitialRxBytes = 4096;
 
 [[noreturn]] void throw_transport(const char* what) {
   throw core::SessionError(std::string("serve: ") + what);
 }
 
-bool write_all(int fd, const std::uint8_t* buf, std::size_t len) {
-  std::size_t sent = 0;
-  while (sent < len) {
-    // MSG_NOSIGNAL: a dead daemon surfaces as a SessionError via EPIPE,
-    // never as a SIGPIPE killing the client process.
-    const ssize_t n = send(fd, buf + sent, len - sent, MSG_NOSIGNAL);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return false;
-    }
-    sent += static_cast<std::size_t>(n);
-  }
-  return true;
-}
-
-bool read_all(int fd, std::uint8_t* buf, std::size_t len) {
-  std::size_t got = 0;
-  while (got < len) {
-    const ssize_t n = read(fd, buf + got, len - got);
-    if (n == 0) return false;
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return false;
-    }
-    got += static_cast<std::size_t>(n);
-  }
-  return true;
-}
-
 }  // namespace
 
-ServeConnection::ServeConnection(const std::string& socket_path) {
+ServeConnection::ServeConnection(const std::string& socket_path) : rx_(kInitialRxBytes) {
   fd_ = socket(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0);
   if (fd_ < 0) throw_transport("socket() failed");
   sockaddr_un addr{};
@@ -70,95 +42,110 @@ ServeConnection::~ServeConnection() {
   if (fd_ >= 0) close(fd_);
 }
 
-void ServeConnection::send_frame(MsgType type, std::uint64_t stream_id,
-                                 const std::vector<std::uint8_t>& payload) {
-  std::vector<std::uint8_t> frame;
-  encode_frame(frame, type, stream_id, payload);
-  if (!write_all(fd_, frame.data(), frame.size())) {
-    broken_ = true;
-    throw_transport("connection lost on send");
-  }
+void ServeConnection::fail(const char* what) {
+  broken_ = true;
+  throw_transport(what);
 }
 
-MsgType ServeConnection::round_trip(MsgType type, std::uint64_t stream_id,
-                                    const std::vector<std::uint8_t>& payload,
-                                    std::vector<std::uint8_t>& reply_payload) {
-  send_frame(type, stream_id, payload);
+bool ServeConnection::send_frame(MsgType type, std::uint64_t stream_id) {
+  tx_.clear();
+  encode_frame(tx_, type, stream_id, body_);
+  std::size_t sent = 0;
+  while (sent < tx_.size()) {
+    // MSG_NOSIGNAL: a dead daemon surfaces as a SessionError via EPIPE,
+    // never as a SIGPIPE killing the client process.
+    const ssize_t n = send(fd_, tx_.data() + sent, tx_.size() - sent, MSG_NOSIGNAL);
+    ++syscalls_;
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      return false;
+    }
+    sent += static_cast<std::size_t>(n);
+  }
+  return true;
+}
 
-  std::uint8_t header_buf[kWireHeaderSize];
-  if (!read_all(fd_, header_buf, kWireHeaderSize)) {
-    broken_ = true;
-    throw_transport("connection lost awaiting reply");
-  }
+ServeConnection::Reply ServeConnection::round_trip(MsgType type, std::uint64_t stream_id) {
+  if (broken_) throw_transport("connection is broken");
+  if (!send_frame(type, stream_id)) fail("connection lost on send");
+
+  // One recv normally holds the whole reply; the header, once in, says
+  // how many bytes are still owed.
   FrameHeader header;
-  if (decode_header(header_buf, header) != WireError::kNone) {
-    broken_ = true;
-    throw_transport("malformed reply header");
+  std::size_t got = 0;
+  std::size_t need = kWireHeaderSize;
+  while (got < need) {
+    const ssize_t n = recv(fd_, rx_.data() + got, rx_.size() - got, 0);
+    ++syscalls_;
+    if (n == 0) fail("connection lost awaiting reply");
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      fail("connection lost awaiting reply");
+    }
+    const bool had_header = got >= kWireHeaderSize;
+    got += static_cast<std::size_t>(n);
+    if (!had_header && got >= kWireHeaderSize) {
+      if (decode_header(rx_.data(), header) != WireError::kNone) {
+        fail("malformed reply header");
+      }
+      need = kWireHeaderSize + header.payload_len;
+      if (need > rx_.size()) rx_.resize(need);
+    }
   }
-  reply_payload.resize(header.payload_len);
-  if (header.payload_len > 0 &&
-      !read_all(fd_, reply_payload.data(), reply_payload.size())) {
-    broken_ = true;
-    throw_transport("connection lost mid-reply");
+  // Every request is answered by exactly one frame: more bytes mean the
+  // stream is out of step, and later replies would be misattributed.
+  if (got > need) fail("unexpected bytes after the reply");
+  const std::uint8_t* payload = rx_.data() + kWireHeaderSize;
+  if (verify_payload(header, payload, header.payload_len) != WireError::kNone) {
+    fail("reply checksum mismatch");
   }
-  if (verify_payload(header, reply_payload.data(), reply_payload.size()) !=
-      WireError::kNone) {
-    broken_ = true;
-    throw_transport("reply checksum mismatch");
-  }
-  return header.type;
+  return {header.type, payload, header.payload_len};
 }
 
 std::uint64_t ServeConnection::open_stream(const core::DecisionStreamInfo& info) {
   std::lock_guard<std::mutex> lock(mutex_);
   const std::uint64_t id = next_stream_id_++;
-  std::vector<std::uint8_t> payload;
-  encode_stream_info(payload, info);
-  std::vector<std::uint8_t> reply;
-  const MsgType type = round_trip(MsgType::kHello, id, payload, reply);
-  if (type == MsgType::kError) {
+  body_.clear();
+  encode_stream_info(body_, info);
+  const Reply reply = round_trip(MsgType::kHello, id);
+  if (reply.type == MsgType::kError) {
     WireError code = WireError::kNone;
-    decode_error(reply.data(), reply.size(), code);
+    decode_error(reply.payload, reply.size, code);
     throw core::SessionError(std::string("serve: stream rejected: ") + wire_error_name(code));
   }
-  if (type != MsgType::kHelloOk) throw_transport("unexpected reply to hello");
+  if (reply.type != MsgType::kHelloOk) throw_transport("unexpected reply to hello");
   return id;
 }
 
 core::DecisionResponse ServeConnection::decide(std::uint64_t stream_id,
                                                const core::DecisionRequest& req) {
   std::lock_guard<std::mutex> lock(mutex_);
-  std::vector<std::uint8_t> payload;
-  encode_request(payload, req);
-  std::vector<std::uint8_t> reply;
-  const MsgType type = round_trip(MsgType::kDecide, stream_id, payload, reply);
-  if (type == MsgType::kError) {
+  body_.clear();
+  encode_request(body_, req);
+  const Reply reply = round_trip(MsgType::kDecide, stream_id);
+  if (reply.type == MsgType::kError) {
     WireError code = WireError::kNone;
-    decode_error(reply.data(), reply.size(), code);
+    decode_error(reply.payload, reply.size, code);
     throw core::SessionError(std::string("serve: decide failed: ") + wire_error_name(code));
   }
-  if (type != MsgType::kDecision) throw_transport("unexpected reply to decide");
+  if (reply.type != MsgType::kDecision) throw_transport("unexpected reply to decide");
   core::DecisionResponse resp;
-  if (!decode_response(reply.data(), reply.size(), resp)) {
-    broken_ = true;
-    throw_transport("malformed decision payload");
-  }
+  if (!decode_response(reply.payload, reply.size, resp)) fail("malformed decision payload");
   return resp;
 }
 
 void ServeConnection::close_stream(std::uint64_t stream_id) noexcept {
   std::lock_guard<std::mutex> lock(mutex_);
   if (broken_ || fd_ < 0) return;
-  std::vector<std::uint8_t> frame;
-  encode_frame(frame, MsgType::kClose, stream_id, {});
-  if (!write_all(fd_, frame.data(), frame.size())) broken_ = true;
+  body_.clear();
+  if (!send_frame(MsgType::kClose, stream_id)) broken_ = true;
 }
 
 bool ServeConnection::ping() noexcept {
   std::lock_guard<std::mutex> lock(mutex_);
   try {
-    std::vector<std::uint8_t> reply;
-    return round_trip(MsgType::kPing, 0, {}, reply) == MsgType::kPong;
+    body_.clear();
+    return round_trip(MsgType::kPing, 0).type == MsgType::kPong;
   } catch (const core::SessionError&) {
     return false;
   }

@@ -2,10 +2,13 @@
 //
 // ServeConnection is one Unix-socket connection: it frames messages,
 // verifies reply checksums, and serializes round trips with a mutex so
-// several streams can share it. RemoteDecisionStream adapts one (conn,
-// stream id) pair to the core::DecisionStream interface — any transport
-// or server failure surfaces as core::SessionError, which the session
-// layer already captures per task. SocketBackend is the piece the fleet
+// several streams can share it. A round trip encodes into buffers the
+// connection owns, sends once and normally receives the whole reply in
+// one recv — two syscalls and no allocation per decision.
+// RemoteDecisionStream adapts one (conn, stream id) pair to the
+// core::DecisionStream interface — any transport or server failure
+// surfaces as core::SessionError, which the session layer already
+// captures per task. SocketBackend is the piece the fleet
 // plugs in: a DecisionBackend handing each worker thread its own lazily
 // opened connection (one socket per thread, ids allocated per connection,
 // zero cross-thread sharing).
@@ -46,20 +49,39 @@ class ServeConnection {
   /// further call will throw. SocketBackend uses this to reconnect.
   bool broken() const { return broken_; }
 
+  /// send() and recv() calls made so far. Read it between calls, from the
+  /// thread that makes them.
+  std::uint64_t syscalls() const { return syscalls_; }
+
  private:
-  /// Sends one frame and reads the reply frame (verified). Throws
-  /// core::SessionError on any transport or protocol failure; a kError
-  /// reply is returned to the caller for classification.
-  MsgType round_trip(MsgType type, std::uint64_t stream_id,
-                     const std::vector<std::uint8_t>& payload,
-                     std::vector<std::uint8_t>& reply_payload);
-  void send_frame(MsgType type, std::uint64_t stream_id,
-                  const std::vector<std::uint8_t>& payload);
+  /// A verified reply frame; `payload` points into rx_ and is valid until
+  /// the next round trip.
+  struct Reply {
+    MsgType type = MsgType::kError;
+    const std::uint8_t* payload = nullptr;
+    std::size_t size = 0;
+  };
+
+  /// Frames body_ as one `type` message, sends it and reads its reply.
+  /// Throws core::SessionError on any transport or protocol failure —
+  /// including bytes beyond the one reply owed; a kError reply is
+  /// returned to the caller for classification.
+  Reply round_trip(MsgType type, std::uint64_t stream_id);
+  /// Frames body_ into tx_ and sends it; false on a transport failure.
+  bool send_frame(MsgType type, std::uint64_t stream_id);
+  /// Marks the connection broken and throws core::SessionError.
+  [[noreturn]] void fail(const char* what);
 
   std::mutex mutex_;
   int fd_ = -1;
   bool broken_ = false;
   std::uint64_t next_stream_id_ = 0;
+  std::uint64_t syscalls_ = 0;
+  // Request payload, request frame and reply frame; reused by every round
+  // trip (the mutex serialises them).
+  std::vector<std::uint8_t> body_;
+  std::vector<std::uint8_t> tx_;
+  std::vector<std::uint8_t> rx_;
 };
 
 /// One remote decision stream (shared connection + id).

@@ -2,65 +2,39 @@
 
 #include <poll.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <sys/un.h>
 #include <unistd.h>
 
 #include <cerrno>
 #include <cstring>
+#include <exception>
 
 namespace vafs::serve {
 namespace {
 
-constexpr int kPollMs = 50;       // stop-flag check cadence
+constexpr int kTickMs = 50;          // stop-flag tick: the socket's SO_RCVTIMEO
 constexpr int kDrainGraceMs = 1000;  // max wait for a mid-frame peer at drain
+// Initial receive buffer. It grows to the largest frame a peer sends, so
+// idle memory stays small instead of kMaxPayload per connection.
+constexpr std::size_t kInitialRxBytes = 4096;
 
-/// poll()-driven exact read. Returns 1 on success, 0 on orderly close or
-/// drain, -1 on error. Drain semantics: once `stopping` flips, an idle
-/// read (nothing consumed, not `committed` to a frame) gives up at the
-/// next poll tick, while a mid-frame read keeps going so the in-flight
-/// request is finished and answered — bounded by kDrainGraceMs in case
-/// the peer wedged mid-send.
-int read_exact(int fd, std::uint8_t* buf, std::size_t len, const std::atomic<bool>& stopping,
-               bool committed) {
-  std::size_t got = 0;
-  int stopped_ticks = 0;
-  while (got < len) {
-    pollfd pfd{fd, POLLIN, 0};
-    const int pr = poll(&pfd, 1, kPollMs);
-    if (pr < 0) {
-      if (errno == EINTR) continue;
-      return -1;
-    }
-    if (pr == 0) {
-      if (stopping.load(std::memory_order_acquire)) {
-        if (!committed && got == 0) return 0;
-        if (++stopped_ticks * kPollMs >= kDrainGraceMs) return 0;
-      }
-      continue;
-    }
-    const ssize_t n = read(fd, buf + got, len - got);
-    if (n == 0) return 0;
-    if (n < 0) {
-      if (errno == EINTR || errno == EAGAIN) continue;
-      return -1;
-    }
-    got += static_cast<std::size_t>(n);
-  }
-  return 1;
-}
-
-bool write_all(int fd, const std::uint8_t* buf, std::size_t len) {
+/// Sends all of `len`, counting each send() in `sends` (if given).
+bool write_all(int fd, const std::uint8_t* buf, std::size_t len,
+               std::atomic<std::uint64_t>* sends = nullptr) {
   std::size_t sent = 0;
   while (sent < len) {
     // MSG_NOSIGNAL: a peer that died mid-reply is an EPIPE error, not a
     // process-killing SIGPIPE — this server is often hosted in-process by
     // tests and benches that do not ignore the signal.
+    // Counted before the call, so a peer holding the reply already sees it.
+    if (sends != nullptr) bump(*sends);
     const ssize_t n = send(fd, buf + sent, len - sent, MSG_NOSIGNAL);
     if (n < 0) {
       if (errno == EINTR) continue;
       if (errno == EAGAIN) {
         pollfd pfd{fd, POLLOUT, 0};
-        poll(&pfd, 1, kPollMs);
+        poll(&pfd, 1, kTickMs);
         continue;
       }
       return false;
@@ -117,14 +91,15 @@ void Server::stop() {
   if (!running_.exchange(false, std::memory_order_acq_rel)) return;
   stopping_.store(true, std::memory_order_release);
   if (accept_thread_.joinable()) accept_thread_.join();
-  // The registry is stable now: only this thread mutates it.
-  std::vector<std::unique_ptr<Connection>> conns;
+  // The registry is stable now: only this thread mutates it, so the
+  // joins need no lock (stats() keeps reading live counters meanwhile).
+  for (auto& c : connections_) {
+    if (c->thread.joinable()) c->thread.join();
+  }
   {
     std::lock_guard<std::mutex> lock(connections_mutex_);
-    conns.swap(connections_);
-  }
-  for (auto& c : conns) {
-    if (c->thread.joinable()) c->thread.join();
+    for (const auto& c : connections_) retire(*c);
+    connections_.clear();
   }
   if (listen_fd_ >= 0) {
     close(listen_fd_);
@@ -148,7 +123,7 @@ void Server::trace(obs::EventKind kind, std::uint64_t a, std::uint64_t b, std::u
 void Server::accept_loop() {
   while (!stopping_.load(std::memory_order_acquire)) {
     pollfd pfd{listen_fd_, POLLIN, 0};
-    const int pr = poll(&pfd, 1, kPollMs);
+    const int pr = poll(&pfd, 1, kTickMs);
     if (pr <= 0) continue;
     const int fd = accept4(listen_fd_, nullptr, nullptr, SOCK_CLOEXEC);
     if (fd < 0) continue;
@@ -160,6 +135,7 @@ void Server::accept_loop() {
     for (auto it = connections_.begin(); it != connections_.end();) {
       if ((*it)->done.load(std::memory_order_acquire)) {
         if ((*it)->thread.joinable()) (*it)->thread.join();
+        retire(**it);
         it = connections_.erase(it);
       } else {
         ++live;
@@ -190,67 +166,114 @@ void Server::accept_loop() {
 
 void Server::serve_connection(Connection& conn) {
   StreamMap streams;
-  std::uint8_t header_buf[kWireHeaderSize];
-  std::vector<std::uint8_t> payload;
-  std::vector<std::uint8_t> reply;
+  // rx[head, tail) holds received, unhandled bytes; tx collects the
+  // replies to one read's frames; body is reply-payload scratch. All three
+  // are reused, so a steady-state decision allocates nothing.
+  std::vector<std::uint8_t> rx(kInitialRxBytes);
+  std::vector<std::uint8_t> tx;
+  std::vector<std::uint8_t> body;
+  std::size_t head = 0;
+  std::size_t tail = 0;
+  std::size_t want = 0;  // length of the partial frame at head, once known
+  bool draining = false;
+  std::chrono::steady_clock::time_point drain_deadline;
 
-  for (;;) {
-    // Between frames a drain request closes immediately; inside a frame
-    // (header partially read, or payload pending) it finishes the frame
-    // and answers it first.
-    const int hr = read_exact(conn.fd, header_buf, kWireHeaderSize, stopping_,
-                              /*committed=*/false);
-    if (hr <= 0) break;
-
-    FrameHeader header;
-    const WireError herr = decode_header(header_buf, header);
-    if (herr != WireError::kNone) {
-      // The framing itself is broken — byte boundaries are gone, so no
-      // reply can be framed reliably. Count it and drop the connection.
-      protocol_errors_.fetch_add(1, std::memory_order_relaxed);
-      trace(obs::EventKind::kServeError, conn.id, static_cast<std::uint64_t>(herr));
-      if (herr == WireError::kBadVersion || herr == WireError::kOversized) {
-        // Header structure was intact: tell the peer why before closing.
-        reply.clear();
-        append_error_frame(reply, header.stream_id, herr);
-        write_all(conn.fd, reply.data(), reply.size());
-      }
+  const timeval tick{0, kTickMs * 1000};
+  bool open = setsockopt(conn.fd, SOL_SOCKET, SO_RCVTIMEO, &tick, sizeof tick) == 0;
+  while (open) {
+    const ssize_t n = read(conn.fd, rx.data() + tail, rx.size() - tail);
+    if (n < 0 && errno != EAGAIN && errno != EWOULDBLOCK) {
+      if (errno == EINTR) continue;
       break;
     }
+    if (n >= 0) bump(conn.socket_reads);
+    if (n == 0) break;  // orderly close (mid-frame: the peer died mid-send)
+    if (n > 0) tail += static_cast<std::size_t>(n);
 
-    payload.resize(header.payload_len);
-    if (header.payload_len > 0) {
-      const int prr = read_exact(conn.fd, payload.data(), payload.size(), stopping_,
-                                 /*committed=*/true);
-      if (prr <= 0) break;  // truncated frame: peer died mid-send
+    // Handle every complete frame before reading again.
+    want = 0;
+    while (open && tail - head >= kWireHeaderSize) {
+      FrameHeader header;
+      const WireError herr = decode_header(rx.data() + head, header);
+      if (herr != WireError::kNone) {
+        // The framing itself is broken — byte boundaries are gone, so no
+        // later reply can be framed reliably. Count it and drop the
+        // connection once the replies so far are out.
+        protocol_errors_.fetch_add(1, std::memory_order_relaxed);
+        trace(obs::EventKind::kServeError, conn.id, static_cast<std::uint64_t>(herr));
+        if (herr == WireError::kBadVersion || herr == WireError::kOversized) {
+          // Header structure was intact: tell the peer why before closing.
+          append_error_frame(tx, header.stream_id, herr);
+        }
+        open = false;
+        break;
+      }
+      const std::size_t frame_len = kWireHeaderSize + header.payload_len;
+      if (tail - head < frame_len) {
+        want = frame_len;  // partial frame: read the rest
+        break;
+      }
+      const std::uint8_t* payload = rx.data() + head + kWireHeaderSize;
+      head += frame_len;
+
+      const WireError perr = verify_payload(header, payload, header.payload_len);
+      if (perr != WireError::kNone) {
+        protocol_errors_.fetch_add(1, std::memory_order_relaxed);
+        trace(obs::EventKind::kServeError, conn.id, static_cast<std::uint64_t>(perr));
+        append_error_frame(tx, header.stream_id, perr);
+        continue;  // framing is intact: the connection survives a bad payload
+      }
+      try {
+        open = handle_frame(conn, streams, header, payload, body, tx);
+      } catch (const std::exception&) {
+        // Allocation failure or any other surprise: this connection's
+        // state is suspect, so drop it — never the daemon.
+        protocol_errors_.fetch_add(1, std::memory_order_relaxed);
+        trace(obs::EventKind::kServeError, conn.id, 0);
+        open = false;
+      }
     }
-    const WireError perr = verify_payload(header, payload.data(), payload.size());
-    if (perr != WireError::kNone) {
-      protocol_errors_.fetch_add(1, std::memory_order_relaxed);
-      trace(obs::EventKind::kServeError, conn.id, static_cast<std::uint64_t>(perr));
-      reply.clear();
-      append_error_frame(reply, header.stream_id, perr);
-      if (!write_all(conn.fd, reply.data(), reply.size())) break;
-      continue;  // framing is intact: the connection survives a bad payload
+
+    if (!tx.empty()) {
+      if (!write_all(conn.fd, tx.data(), tx.size(), &conn.socket_writes)) break;
+      tx.clear();
     }
+    if (!open) break;
 
-    reply.clear();
-    if (!handle_frame(conn, streams, header, payload, reply)) break;
-    if (!reply.empty() && !write_all(conn.fd, reply.data(), reply.size())) break;
+    // Keep the unhandled partial frame at the front, with room for all of
+    // it once its header is known.
+    if (head == tail) {
+      head = tail = 0;
+    } else if (head > 0) {
+      std::memmove(rx.data(), rx.data() + head, tail - head);
+      tail -= head;
+      head = 0;
+    }
+    if (want > rx.size()) rx.resize(want);
 
-    if (stopping_.load(std::memory_order_acquire)) break;  // drained: answered in-flight
+    // Drain: with nothing buffered the connection is idle (or every frame
+    // in flight is answered) and closes now; a partial frame gets up to
+    // kDrainGraceMs to arrive in full.
+    if (stopping_.load(std::memory_order_acquire)) {
+      const auto now = std::chrono::steady_clock::now();
+      if (!draining) {
+        draining = true;
+        drain_deadline = now + std::chrono::milliseconds(kDrainGraceMs);
+      }
+      if (tail == 0 || now >= drain_deadline) break;
+    }
   }
 
   close(conn.fd);
   streams_closed_.fetch_add(streams.size(), std::memory_order_relaxed);
   closed_.fetch_add(1, std::memory_order_relaxed);
-  trace(obs::EventKind::kServeDisconnect, conn.id, conn.requests);
-  requests_.fetch_add(conn.requests, std::memory_order_relaxed);
+  trace(obs::EventKind::kServeDisconnect, conn.id,
+        conn.requests.load(std::memory_order_relaxed));
   conn.done.store(true, std::memory_order_release);
 }
 
 bool Server::handle_frame(Connection& conn, StreamMap& streams, const FrameHeader& header,
-                          const std::vector<std::uint8_t>& payload,
+                          const std::uint8_t* payload, std::vector<std::uint8_t>& body,
                           std::vector<std::uint8_t>& reply) {
   switch (header.type) {
     case MsgType::kPing:
@@ -264,7 +287,7 @@ bool Server::handle_frame(Connection& conn, StreamMap& streams, const FrameHeade
         return true;
       }
       core::DecisionStreamInfo info;
-      if (!decode_stream_info(payload.data(), payload.size(), info)) {
+      if (!decode_stream_info(payload, header.payload_len, info)) {
         protocol_errors_.fetch_add(1, std::memory_order_relaxed);
         trace(obs::EventKind::kServeError, conn.id,
               static_cast<std::uint64_t>(WireError::kShortPayload));
@@ -274,6 +297,10 @@ bool Server::handle_frame(Connection& conn, StreamMap& streams, const FrameHeade
       try {
         streams.emplace(header.stream_id,
                         std::make_unique<core::DecisionCore>(info.config, info.geometry));
+      } catch (const core::ConfigError&) {
+        protocol_errors_.fetch_add(1, std::memory_order_relaxed);
+        append_error_frame(reply, header.stream_id, WireError::kBadConfig);
+        return true;
       } catch (const std::invalid_argument&) {
         protocol_errors_.fetch_add(1, std::memory_order_relaxed);
         append_error_frame(reply, header.stream_id, WireError::kBadGeometry);
@@ -292,7 +319,7 @@ bool Server::handle_frame(Connection& conn, StreamMap& streams, const FrameHeade
         return true;
       }
       core::DecisionRequest req;
-      if (!decode_request(payload.data(), payload.size(), req)) {
+      if (!decode_request(payload, header.payload_len, req)) {
         protocol_errors_.fetch_add(1, std::memory_order_relaxed);
         append_error_frame(reply, header.stream_id, WireError::kShortPayload);
         return true;
@@ -302,11 +329,11 @@ bool Server::handle_frame(Connection& conn, StreamMap& streams, const FrameHeade
       const auto t1 = std::chrono::steady_clock::now();
       const std::uint64_t ns = static_cast<std::uint64_t>(
           std::chrono::duration_cast<std::chrono::nanoseconds>(t1 - t0).count());
-      latency_.record_ns(ns);
-      ++conn.requests;
+      conn.latency.record_ns(ns);
+      bump(conn.requests);
       trace(obs::EventKind::kServeRequest, header.stream_id, ns / 1000,
             static_cast<std::uint64_t>(req.event));
-      std::vector<std::uint8_t> body;
+      body.clear();
       encode_response(body, resp);
       encode_frame(reply, MsgType::kDecision, header.stream_id, body);
       return true;
@@ -334,6 +361,13 @@ bool Server::handle_frame(Connection& conn, StreamMap& streams, const FrameHeade
   return false;
 }
 
+void Server::retire(const Connection& conn) {
+  retired_latency_.merge(conn.latency);
+  retired_requests_ += conn.requests.load(std::memory_order_relaxed);
+  retired_reads_ += conn.socket_reads.load(std::memory_order_relaxed);
+  retired_writes_ += conn.socket_writes.load(std::memory_order_relaxed);
+}
+
 ServerStats Server::stats() const {
   ServerStats s;
   s.connections_accepted = accepted_.load(std::memory_order_relaxed);
@@ -341,12 +375,25 @@ ServerStats Server::stats() const {
   s.connections_closed = closed_.load(std::memory_order_relaxed);
   s.streams_opened = streams_opened_.load(std::memory_order_relaxed);
   s.streams_closed = streams_closed_.load(std::memory_order_relaxed);
-  s.requests = requests_.load(std::memory_order_relaxed);
   s.protocol_errors = protocol_errors_.load(std::memory_order_relaxed);
-  s.latency_p50_us = latency_.percentile_us(0.50);
-  s.latency_p95_us = latency_.percentile_us(0.95);
-  s.latency_p99_us = latency_.percentile_us(0.99);
-  s.latency_mean_us = latency_.mean_us();
+  LatencyHistogram latency;
+  {
+    std::lock_guard<std::mutex> lock(connections_mutex_);
+    latency.merge(retired_latency_);
+    s.requests = retired_requests_;
+    s.socket_reads = retired_reads_;
+    s.socket_writes = retired_writes_;
+    for (const auto& c : connections_) {
+      latency.merge(c->latency);
+      s.requests += c->requests.load(std::memory_order_relaxed);
+      s.socket_reads += c->socket_reads.load(std::memory_order_relaxed);
+      s.socket_writes += c->socket_writes.load(std::memory_order_relaxed);
+    }
+  }
+  s.latency_p50_us = latency.percentile_us(0.50);
+  s.latency_p95_us = latency.percentile_us(0.95);
+  s.latency_p99_us = latency.percentile_us(0.99);
+  s.latency_mean_us = latency.mean_us();
   return s;
 }
 

@@ -7,13 +7,22 @@
 // the server holds no cross-connection state and per-stream decision
 // order is exactly the client's send order (the determinism proof's load-
 // bearing property). Shared state is limited to relaxed-atomic counters,
-// the connection registry, and an optional mutex-guarded tracer.
+// the connection registry, and an optional mutex-guarded tracer; the
+// per-request counters and the latency histogram are per connection,
+// written only by its thread and merged by stats().
 //
-// Shutdown: stop() (or SIGTERM in vafsd) flips a flag every poll loop
-// watches. Connection threads finish the frame currently in flight —
-// including one mid-read — answer it, then close; the accept thread stops
-// taking new work immediately. stop() joins everything and unlinks the
-// socket, so a drained daemon exits 0 with no request dropped mid-answer.
+// Transport: a connection thread makes one blocking read into a receive
+// buffer, handles every complete frame in it, and sends all replies with
+// one send — a steady-state decision is one read and one write on the
+// server. The socket's SO_RCVTIMEO bounds each read, which is the tick
+// at which the thread looks at the stop flag.
+//
+// Shutdown: stop() (or SIGTERM in vafsd) flips the stop flag. Connection
+// threads finish the frame currently in flight — including one mid-read —
+// answer it, then close; an idle connection closes at its next tick; the
+// accept thread stops taking new work immediately. stop() joins
+// everything and unlinks the socket, so a drained daemon exits 0 with no
+// request dropped mid-answer.
 //
 // Backpressure: at most `max_connections` live connections. Beyond that
 // the listener still accepts (the kernel backlog stays bounded), answers
@@ -65,7 +74,8 @@ class Server {
 
   bool running() const { return running_.load(std::memory_order_acquire); }
 
-  /// Point-in-time snapshot of counters and merged latency percentiles.
+  /// Point-in-time snapshot of counters and merged latency percentiles:
+  /// live connections plus every reaped one, so totals never go backwards.
   ServerStats stats() const;
 
   const std::string& socket_path() const { return options_.socket_path; }
@@ -76,18 +86,27 @@ class Server {
     std::uint64_t id = 0;
     std::thread thread;
     std::atomic<bool> done{false};
-    std::uint64_t requests = 0;  // connection-thread-local until disconnect
+    // Single writer (the connection thread); stats() reads them live and
+    // retire() folds them into the totals before the connection is reaped.
+    LatencyHistogram latency;
+    std::atomic<std::uint64_t> requests{0};
+    std::atomic<std::uint64_t> socket_reads{0};
+    std::atomic<std::uint64_t> socket_writes{0};
   };
   /// Connection-scoped stream table: only the owning thread touches it.
   using StreamMap = std::map<std::uint64_t, std::unique_ptr<core::DecisionCore>>;
 
   void accept_loop();
   void serve_connection(Connection& conn);
-  /// One frame: dispatch and build the reply frame(s) into `reply`.
-  /// Returns false to drop the connection (unanswerable violation).
+  /// One verified frame: dispatch and append the reply frame, if any, to
+  /// `reply` (`body` is payload scratch). Returns false to drop the
+  /// connection (unanswerable violation).
   bool handle_frame(Connection& conn, StreamMap& streams, const FrameHeader& header,
-                    const std::vector<std::uint8_t>& payload,
+                    const std::uint8_t* payload, std::vector<std::uint8_t>& body,
                     std::vector<std::uint8_t>& reply);
+  /// Adds a finished connection's counters to the retired totals. Caller
+  /// holds connections_mutex_.
+  void retire(const Connection& conn);
   void trace(obs::EventKind kind, std::uint64_t a, std::uint64_t b = 0, std::uint64_t c = 0);
   std::int64_t wall_us() const;
 
@@ -97,9 +116,14 @@ class Server {
   std::atomic<bool> stopping_{false};
   std::thread accept_thread_;
 
-  std::mutex connections_mutex_;
+  mutable std::mutex connections_mutex_;
   std::vector<std::unique_ptr<Connection>> connections_;
   std::uint64_t next_connection_id_ = 0;
+  // Totals of reaped connections (guarded by connections_mutex_).
+  LatencyHistogram retired_latency_;
+  std::uint64_t retired_requests_ = 0;
+  std::uint64_t retired_reads_ = 0;
+  std::uint64_t retired_writes_ = 0;
 
   // Aggregate counters (relaxed; exact once quiesced).
   std::atomic<std::uint64_t> accepted_{0};
@@ -107,9 +131,7 @@ class Server {
   std::atomic<std::uint64_t> closed_{0};
   std::atomic<std::uint64_t> streams_opened_{0};
   std::atomic<std::uint64_t> streams_closed_{0};
-  std::atomic<std::uint64_t> requests_{0};
   std::atomic<std::uint64_t> protocol_errors_{0};
-  LatencyHistogram latency_;
 
   std::mutex tracer_mutex_;
   std::chrono::steady_clock::time_point start_time_;

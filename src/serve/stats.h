@@ -8,6 +8,13 @@
 
 namespace vafs::serve {
 
+/// Increments a counter that only one thread writes: a plain load and
+/// store instead of a locked read-modify-write. Readers on other threads
+/// see a recent value.
+inline void bump(std::atomic<std::uint64_t>& counter, std::uint64_t by = 1) {
+  counter.store(counter.load(std::memory_order_relaxed) + by, std::memory_order_relaxed);
+}
+
 /// Log-linear histogram over nanosecond durations: 20 power-of-two decades
 /// from 1 µs to ~1 s, 8 linear sub-bins each, plus an underflow and an
 /// overflow bin. Relative error of a percentile estimate is bounded by the
@@ -98,6 +105,11 @@ struct ServerStats {
   std::uint64_t streams_closed = 0;
   std::uint64_t requests = 0;
   std::uint64_t protocol_errors = 0;
+  /// Socket calls on connection threads: reads that returned bytes or EOF
+  /// (receive-timeout ticks excluded) and sends. One of each per decision
+  /// in steady state.
+  std::uint64_t socket_reads = 0;
+  std::uint64_t socket_writes = 0;
   double latency_p50_us = 0.0;
   double latency_p95_us = 0.0;
   double latency_p99_us = 0.0;

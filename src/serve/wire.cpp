@@ -60,6 +60,7 @@ const char* wire_error_name(WireError e) {
     case WireError::kBadGeometry: return "bad_geometry";
     case WireError::kServerOverloaded: return "server_overloaded";
     case WireError::kServerDraining: return "server_draining";
+    case WireError::kBadConfig: return "bad_config";
   }
   return "?";
 }
@@ -347,7 +348,7 @@ bool decode_error(const std::uint8_t* data, std::size_t size, WireError& code) {
   WireReader r(data, size);
   std::uint32_t v = 0;
   if (!r.u32(v)) return false;
-  if (v > static_cast<std::uint32_t>(WireError::kServerDraining)) return false;
+  if (v > static_cast<std::uint32_t>(WireError::kBadConfig)) return false;
   code = static_cast<WireError>(v);
   return true;
 }

@@ -72,6 +72,7 @@ enum class WireError : std::uint32_t {
   kBadGeometry = 9,
   kServerOverloaded = 10,
   kServerDraining = 11,
+  kBadConfig = 12,  // Hello's VafsConfig fails VafsConfig::validate()
 };
 
 const char* wire_error_name(WireError e);

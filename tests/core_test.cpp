@@ -3,9 +3,12 @@
 // demand planning, download handling, drop-recovery boost).
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <memory>
 #include <optional>
 #include <string_view>
+#include <utility>
+#include <vector>
 
 #include "core/predictor.h"
 #include "core/vafs_controller.h"
@@ -80,6 +83,63 @@ TEST(Predictor, KindNames) {
   EXPECT_STREQ(predictor_kind_name(PredictorKind::kEwma), "ewma");
   EXPECT_STREQ(predictor_kind_name(PredictorKind::kWindowMax), "window-max");
   EXPECT_STREQ(predictor_kind_name(PredictorKind::kQuantile), "quantile");
+}
+
+// ------------------------------------------------------ Config validation
+
+DecisionGeometry one_cluster() {
+  DecisionGeometry g;
+  g.clusters.push_back({{300000, 600000, 1200000}, 1.0, 1'200'000.0});
+  return g;
+}
+
+// Every config the repository builds must pass: the defaults, F6's margin
+// sweep down to -0.60, the windows F6 and the tuner use, and the edges of
+// the quantile range.
+TEST(VafsConfigValidate, AcceptsEveryShippedConfig) {
+  EXPECT_NO_THROW(VafsConfig{}.validate());
+  for (const double margin : {-0.60, -0.15, 0.0, 0.05, 0.35, 0.60}) {
+    VafsConfig c;
+    c.safety_margin = margin;
+    EXPECT_NO_THROW(c.validate()) << margin;
+  }
+  for (const std::size_t window : {std::size_t{1}, std::size_t{2}, std::size_t{40},
+                                   std::size_t{64}, kMaxPredictorWindow}) {
+    VafsConfig c;
+    c.predictor.window = window;
+    EXPECT_NO_THROW(c.validate()) << window;
+  }
+  for (const double q : {0.0, 0.80, 0.95, 1.0}) {
+    VafsConfig c;
+    c.predictor.quantile = q;
+    EXPECT_NO_THROW(c.validate()) << q;
+  }
+}
+
+constexpr double kInf = std::numeric_limits<double>::infinity();
+constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+
+TEST(VafsConfigValidate, RejectsWhatTheCoreCannotRun) {
+  const std::vector<std::pair<const char*, void (*)(VafsConfig&)>> bad = {
+      {"window 0", [](VafsConfig& c) { c.predictor.window = 0; }},
+      {"window 2^40", [](VafsConfig& c) { c.predictor.window = std::size_t{1} << 40; }},
+      {"window cap + 1", [](VafsConfig& c) { c.predictor.window = kMaxPredictorWindow + 1; }},
+      {"NaN margin", [](VafsConfig& c) { c.safety_margin = kNaN; }},
+      {"margin -1", [](VafsConfig& c) { c.safety_margin = -1.0; }},
+      {"startup margin -2", [](VafsConfig& c) { c.startup_margin = -2.0; }},
+      {"quantile -1", [](VafsConfig& c) { c.predictor.quantile = -1.0; }},
+      {"quantile 2", [](VafsConfig& c) { c.predictor.quantile = 2.0; }},
+      {"inf throughput", [](VafsConfig& c) { c.default_throughput_mbps = kInf; }},
+      {"inf protocol cost", [](VafsConfig& c) { c.protocol_cycles_per_byte = kInf; }},
+      {"NaN alpha", [](VafsConfig& c) { c.predictor.ewma_alpha = kNaN; }},
+  };
+  for (const auto& [name, mutate] : bad) {
+    VafsConfig c;
+    mutate(c);
+    EXPECT_THROW(c.validate(), ConfigError) << name;
+    // The core refuses it at construction, before allocating anything.
+    EXPECT_THROW(DecisionCore(c, one_cluster()), ConfigError) << name;
+  }
 }
 
 // ---------------------------------------------------------- VafsController

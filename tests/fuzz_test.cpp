@@ -16,6 +16,7 @@
 #include <limits>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/session.h"
@@ -703,6 +704,95 @@ TEST_P(WireFuzz, MalformedFramesNeverCrashOrHangTheServer) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, WireFuzz,
                          ::testing::Range<std::uint64_t>(5000, 5008));  // 8 campaigns
+
+// Semantically hostile stream configs, each framed with a valid checksum —
+// unlike the mutated frames above, they pass the wire checks and reach the
+// decision core (window 0 used to crash the daemon with SIGSEGV, window
+// 2^40 with bad_alloc). Each must be refused with kBadConfig, and the same
+// connection must then open a valid stream whose decisions are bit-equal
+// to an in-process core's.
+TEST(WireFuzzHostileConfig, RefusedWithBadConfigAndTheConnectionServesOn) {
+  using wire_fuzz::RawClient;
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  const std::vector<std::pair<const char*, void (*)(core::VafsConfig&)>> hostile = {
+      {"window 0", [](core::VafsConfig& c) { c.predictor.window = 0; }},
+      {"window 2^40", [](core::VafsConfig& c) { c.predictor.window = std::size_t{1} << 40; }},
+      {"NaN margin", [](core::VafsConfig& c) { c.safety_margin = kNaN; }},
+      {"quantile -1", [](core::VafsConfig& c) { c.predictor.quantile = -1.0; }},
+      {"quantile 2", [](core::VafsConfig& c) { c.predictor.quantile = 2.0; }},
+      {"inf throughput", [](core::VafsConfig& c) { c.default_throughput_mbps = kInf; }},
+      {"inf protocol rate", [](core::VafsConfig& c) { c.protocol_cycles_per_byte = kInf; }},
+  };
+
+  const std::string socket_path = "/tmp/vafs-wfh-" + std::to_string(getpid()) + ".sock";
+  serve::Server server({socket_path, 8, 16, nullptr});
+  ASSERT_TRUE(server.start());
+  constexpr int kTimeoutMs = 5000;
+  sim::Rng rng(5100);
+
+  // One request, one reply frame (whose payload lands in `payload`).
+  const auto exchange = [&](RawClient& client, serve::MsgType type, std::uint64_t stream,
+                            const std::vector<std::uint8_t>& body,
+                            std::vector<std::uint8_t>& payload) {
+    std::vector<std::uint8_t> frame;
+    serve::encode_frame(frame, type, stream, body);
+    client.send_bytes(frame);
+    serve::FrameHeader header;
+    bool hung = false;
+    EXPECT_TRUE(client.read_frame(&header, &payload, &hung, kTimeoutMs));
+    EXPECT_FALSE(hung);
+    return header.type;
+  };
+
+  for (const auto& [name, mutate] : hostile) {
+    SCOPED_TRACE(name);
+    RawClient client;
+    ASSERT_TRUE(client.connect_to(socket_path));
+    core::DecisionStreamInfo info = wire_fuzz::valid_stream_info();
+    mutate(info.config);
+    std::vector<std::uint8_t> body;
+    std::vector<std::uint8_t> payload;
+    serve::encode_stream_info(body, info);
+    ASSERT_EQ(exchange(client, serve::MsgType::kHello, 1, body, payload),
+              serve::MsgType::kError);
+    serve::WireError code = serve::WireError::kNone;
+    ASSERT_TRUE(serve::decode_error(payload.data(), payload.size(), code));
+    EXPECT_EQ(code, serve::WireError::kBadConfig);
+
+    // Same connection, same stream id: a valid open now succeeds.
+    body.clear();
+    serve::encode_stream_info(body, wire_fuzz::valid_stream_info());
+    ASSERT_EQ(exchange(client, serve::MsgType::kHello, 1, body, payload),
+              serve::MsgType::kHelloOk);
+    core::DecisionCore local(wire_fuzz::valid_stream_info().config,
+                             wire_fuzz::valid_stream_info().geometry);
+    for (int i = 0; i < 32; ++i) {
+      core::DecisionRequest req;
+      req.event = static_cast<core::DecisionEvent>(rng.uniform_int(0, 2));
+      req.now_us = i * 33'333;
+      req.player_state = core::DecisionPlayerState::kPlaying;
+      req.decoded_ahead = static_cast<std::uint64_t>(rng.uniform_int(0, 8));
+      req.total_frames = 10'000;
+      req.frame_period_us = 33'333;
+      req.throughput_mbps = rng.uniform(1.0, 20.0);
+      req.observe_cycles = rng.uniform(5e6, 2e7);
+      req.observe_idr = rng.uniform() < 0.1;
+      body.clear();
+      serve::encode_request(body, req);
+      ASSERT_EQ(exchange(client, serve::MsgType::kDecide, 1, body, payload),
+                serve::MsgType::kDecision);
+      std::vector<std::uint8_t> expected;
+      serve::encode_response(expected, local.decide(req));
+      EXPECT_EQ(payload, expected) << "decision " << i << " differs from in-process";
+    }
+  }
+
+  EXPECT_TRUE(server.running());
+  server.stop();
+  EXPECT_EQ(server.stats().protocol_errors, hostile.size());
+  EXPECT_EQ(server.stats().streams_opened, hostile.size());
+}
 
 }  // namespace
 }  // namespace vafs

@@ -14,10 +14,16 @@
 //      perturb any other stream's digest; connections beyond the cap get
 //      one observable error frame and a close, bounded and counted.
 //
-//   3. Daemon lifecycle (the real vafsd binary, VAFS_VAFSD_PATH):
+//   3. Framing and transport: frames split across many reads or packed
+//      into one, drain with half a frame buffered or none, pinned frame
+//      bytes, and the steady-state cost of a decision — one read and one
+//      write per side, no heap allocation.
+//
+//   4. Daemon lifecycle (the real vafsd binary, VAFS_VAFSD_PATH):
 //      readiness line, SIGTERM drains and exits 0 with clients still
-//      connected, and a client reconnects to a restarted daemon — fresh
-//      epoch, same digests.
+//      connected, a client reconnects to a restarted daemon — fresh
+//      epoch, same digests — and hostile stream configs are refused
+//      without taking the daemon down.
 #include <poll.h>
 #include <signal.h>
 #include <sys/socket.h>
@@ -28,7 +34,9 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <cstdio>
 #include <cstring>
+#include <limits>
 #include <map>
 #include <string>
 #include <thread>
@@ -37,6 +45,7 @@
 #include <gtest/gtest.h>
 
 #include "core/session.h"
+#include "alloc_count.h"
 #include "golden_corpus.h"
 #include "obs/trace.h"
 #include "serve/client.h"
@@ -219,6 +228,380 @@ TEST(ServeBackpressure, OverCapConnectionsGetOneErrorFrameAndAClose) {
 }
 
 // ---------------------------------------------------------------------------
+// Framing and transport.
+
+/// A raw client socket that writes exactly the bytes it is given.
+class RawConn {
+ public:
+  explicit RawConn(const std::string& path) {
+    fd_ = socket(AF_UNIX, SOCK_STREAM, 0);
+    sockaddr_un addr{};
+    addr.sun_family = AF_UNIX;
+    std::strncpy(addr.sun_path, path.c_str(), sizeof(addr.sun_path) - 1);
+    if (fd_ >= 0 &&
+        connect(fd_, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) != 0) {
+      close(fd_);
+      fd_ = -1;
+    }
+  }
+  ~RawConn() {
+    if (fd_ >= 0) close(fd_);
+  }
+  RawConn(const RawConn&) = delete;
+  RawConn& operator=(const RawConn&) = delete;
+
+  bool ok() const { return fd_ >= 0; }
+
+  bool send_bytes(const std::uint8_t* data, std::size_t len) {
+    return send(fd_, data, len, MSG_NOSIGNAL) == static_cast<ssize_t>(len);
+  }
+  bool send_bytes(const std::vector<std::uint8_t>& bytes) {
+    return send_bytes(bytes.data(), bytes.size());
+  }
+
+  /// Reads exactly `len` bytes within `timeout_ms`; false on EOF, error
+  /// or timeout.
+  bool read_exact(std::uint8_t* out, std::size_t len, int timeout_ms = 5000) {
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::milliseconds(timeout_ms);
+    std::size_t got = 0;
+    while (got < len) {
+      if (std::chrono::steady_clock::now() >= deadline) return false;
+      pollfd pfd{fd_, POLLIN, 0};
+      if (poll(&pfd, 1, 20) <= 0) continue;
+      const ssize_t n = read(fd_, out + got, len - got);
+      if (n <= 0) return false;
+      got += static_cast<std::size_t>(n);
+    }
+    return true;
+  }
+
+  /// One whole frame, raw bytes (header + payload); empty on failure.
+  std::vector<std::uint8_t> read_frame(int timeout_ms = 5000) {
+    std::vector<std::uint8_t> frame(serve::kWireHeaderSize);
+    serve::FrameHeader header;
+    if (!read_exact(frame.data(), frame.size(), timeout_ms) ||
+        serve::decode_header(frame.data(), header) != serve::WireError::kNone) {
+      return {};
+    }
+    frame.resize(serve::kWireHeaderSize + header.payload_len);
+    if (!read_exact(frame.data() + serve::kWireHeaderSize, header.payload_len, timeout_ms)) {
+      return {};
+    }
+    return frame;
+  }
+
+  /// True once the peer closes within `timeout_ms` (no bytes before it).
+  bool sees_eof(int timeout_ms = 5000) {
+    std::uint8_t byte = 0;
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::milliseconds(timeout_ms);
+    while (std::chrono::steady_clock::now() < deadline) {
+      pollfd pfd{fd_, POLLIN, 0};
+      if (poll(&pfd, 1, 20) <= 0) continue;
+      return read(fd_, &byte, 1) <= 0;
+    }
+    return false;
+  }
+
+  /// True if nothing (no bytes, no close) is pending right now.
+  bool quiet() {
+    pollfd pfd{fd_, POLLIN, 0};
+    return poll(&pfd, 1, 0) == 0;
+  }
+
+ private:
+  int fd_ = -1;
+};
+
+core::DecisionStreamInfo test_stream_info() {
+  core::DecisionStreamInfo info;
+  info.geometry.clusters.push_back({{300000, 600000, 900000, 1200000}, 1.0, 1'200'000.0});
+  return info;
+}
+
+/// A deterministic request mix: decode completions feeding the predictor
+/// interleaved with replans, as a playing session issues them.
+core::DecisionRequest sample_request(std::uint64_t i) {
+  core::DecisionRequest req;
+  req.event = i % 2 == 0 ? core::DecisionEvent::kDecodeComplete : core::DecisionEvent::kReplan;
+  req.now_us = static_cast<std::int64_t>(i) * 16'667;
+  req.player_state = core::DecisionPlayerState::kPlaying;
+  req.decoded_ahead = 4 + i % 5;
+  req.decoded_frames = i;
+  req.total_frames = 100'000;
+  req.frame_period_us = 33'333;
+  req.throughput_mbps = 8.0;
+  req.observe_cycles = 9.0e6 + static_cast<double>((i * 7919) % 1000) * 1.0e4;
+  req.observe_idr = i % 30 == 0;
+  return req;
+}
+
+std::vector<std::uint8_t> frame_of(serve::MsgType type, std::uint64_t stream_id,
+                                   const std::vector<std::uint8_t>& payload = {}) {
+  std::vector<std::uint8_t> frame;
+  serve::encode_frame(frame, type, stream_id, payload);
+  return frame;
+}
+
+std::vector<std::uint8_t> hello_frame(std::uint64_t stream_id,
+                                      const core::DecisionStreamInfo& info) {
+  std::vector<std::uint8_t> payload;
+  serve::encode_stream_info(payload, info);
+  return frame_of(serve::MsgType::kHello, stream_id, payload);
+}
+
+std::vector<std::uint8_t> decide_frame(std::uint64_t stream_id, const core::DecisionRequest& req) {
+  std::vector<std::uint8_t> payload;
+  serve::encode_request(payload, req);
+  return frame_of(serve::MsgType::kDecide, stream_id, payload);
+}
+
+/// The Decision frame an in-process core's answer would travel as.
+std::vector<std::uint8_t> expected_decision(std::uint64_t stream_id,
+                                            const core::DecisionResponse& resp) {
+  std::vector<std::uint8_t> payload;
+  serve::encode_response(payload, resp);
+  return frame_of(serve::MsgType::kDecision, stream_id, payload);
+}
+
+// A Hello and a Decide written one byte per send: each header and each
+// payload reach the server over many reads and are still reassembled and
+// answered exactly.
+TEST(ServeFraming, FramesSentOneBytePerWriteAreReassembled) {
+  serve::Server server({unique_socket_path("bytes"), 8, 16, nullptr});
+  ASSERT_TRUE(server.start());
+  RawConn conn(server.socket_path());
+  ASSERT_TRUE(conn.ok());
+
+  const core::DecisionRequest req = sample_request(0);
+  std::vector<std::uint8_t> bytes = hello_frame(3, test_stream_info());
+  const std::vector<std::uint8_t> decide = decide_frame(3, req);
+  bytes.insert(bytes.end(), decide.begin(), decide.end());
+  for (const std::uint8_t b : bytes) {
+    ASSERT_TRUE(conn.send_bytes(&b, 1));
+    std::this_thread::sleep_for(std::chrono::microseconds(100));
+  }
+
+  EXPECT_EQ(conn.read_frame(), frame_of(serve::MsgType::kHelloOk, 3));
+  core::DecisionCore local(test_stream_info().config, test_stream_info().geometry);
+  EXPECT_EQ(conn.read_frame(), expected_decision(3, local.decide(req)));
+  EXPECT_TRUE(conn.quiet());
+  // More reads than frames: the frames really did arrive in pieces.
+  EXPECT_GT(server.stats().socket_reads, 2u);
+  server.stop();
+  EXPECT_EQ(server.stats().protocol_errors, 0u);
+}
+
+// Close + Hello + Decide for the same stream id in one send: every frame
+// in the buffer is handled, in order, before the next read — the Close
+// lands first (so the Hello is not a duplicate and the stream starts
+// fresh), and the replies arrive in request order.
+TEST(ServeFraming, PackedFramesAreAnsweredInOrder) {
+  serve::Server server({unique_socket_path("packed"), 8, 16, nullptr});
+  ASSERT_TRUE(server.start());
+  RawConn conn(server.socket_path());
+  ASSERT_TRUE(conn.ok());
+
+  // Give stream 5 some history first.
+  ASSERT_TRUE(conn.send_bytes(hello_frame(5, test_stream_info())));
+  ASSERT_EQ(conn.read_frame(), frame_of(serve::MsgType::kHelloOk, 5));
+  for (std::uint64_t i = 0; i < 8; ++i) {
+    ASSERT_TRUE(conn.send_bytes(decide_frame(5, sample_request(i))));
+    ASSERT_FALSE(conn.read_frame().empty());
+  }
+
+  const core::DecisionRequest req = sample_request(1);
+  std::vector<std::uint8_t> packed = frame_of(serve::MsgType::kClose, 5);
+  for (const auto& f : {hello_frame(5, test_stream_info()), decide_frame(5, req),
+                        frame_of(serve::MsgType::kPing, 9)}) {
+    packed.insert(packed.end(), f.begin(), f.end());
+  }
+  ASSERT_TRUE(conn.send_bytes(packed));
+
+  core::DecisionCore fresh(test_stream_info().config, test_stream_info().geometry);
+  EXPECT_EQ(conn.read_frame(), frame_of(serve::MsgType::kHelloOk, 5));
+  EXPECT_EQ(conn.read_frame(), expected_decision(5, fresh.decide(req)));
+  EXPECT_EQ(conn.read_frame(), frame_of(serve::MsgType::kPong, 9));
+  EXPECT_TRUE(conn.quiet());
+  server.stop();
+  EXPECT_EQ(server.stats().protocol_errors, 0u);
+}
+
+// stop() with half a Decide frame buffered: the frame in flight is
+// finished and answered, then the connection closes.
+TEST(ServeDrain, StopAnswersAHalfBufferedFrame) {
+  serve::Server server({unique_socket_path("half"), 8, 16, nullptr});
+  ASSERT_TRUE(server.start());
+  RawConn conn(server.socket_path());
+  ASSERT_TRUE(conn.ok());
+  ASSERT_TRUE(conn.send_bytes(hello_frame(0, test_stream_info())));
+  ASSERT_EQ(conn.read_frame(), frame_of(serve::MsgType::kHelloOk, 0));
+
+  const core::DecisionRequest req = sample_request(0);
+  const std::vector<std::uint8_t> frame = decide_frame(0, req);
+  const std::size_t half = frame.size() / 2;
+  ASSERT_TRUE(conn.send_bytes(frame.data(), half));
+  std::this_thread::sleep_for(std::chrono::milliseconds(60));  // buffered server-side
+
+  std::thread stopper([&] { server.stop(); });
+  // Several stop-flag ticks pass; the connection must wait for the rest.
+  std::this_thread::sleep_for(std::chrono::milliseconds(200));
+  EXPECT_TRUE(conn.quiet()) << "the connection closed with a frame in flight";
+  EXPECT_TRUE(conn.send_bytes(frame.data() + half, frame.size() - half));
+
+  core::DecisionCore local(test_stream_info().config, test_stream_info().geometry);
+  EXPECT_EQ(conn.read_frame(), expected_decision(0, local.decide(req)));
+  EXPECT_TRUE(conn.sees_eof());
+  stopper.join();
+  EXPECT_EQ(server.stats().requests, 1u);
+}
+
+// stop() with an idle connection: it closes at its next stop-flag tick,
+// well inside the mid-frame grace period.
+TEST(ServeDrain, StopClosesAnIdleConnectionWithinATick) {
+  serve::Server server({unique_socket_path("idle"), 8, 16, nullptr});
+  ASSERT_TRUE(server.start());
+  RawConn conn(server.socket_path());
+  ASSERT_TRUE(conn.ok());
+  ASSERT_TRUE(conn.send_bytes(frame_of(serve::MsgType::kPing, 0)));
+  ASSERT_EQ(conn.read_frame(), frame_of(serve::MsgType::kPong, 0));
+
+  const auto t0 = std::chrono::steady_clock::now();
+  server.stop();
+  const auto elapsed = std::chrono::steady_clock::now() - t0;
+  EXPECT_LT(elapsed, std::chrono::milliseconds(500));
+  EXPECT_TRUE(conn.sees_eof(100));
+}
+
+// The client is owed exactly one reply per request. A peer that sends
+// more (here: two Pongs for one Ping, in one send) has the stream out of
+// step, so the connection is marked broken instead of the extra bytes
+// being dropped or read as the next reply.
+TEST(ServeClient, BytesBeyondTheOwedReplyBreakTheConnection) {
+  const std::string path = unique_socket_path("extra");
+  const int listener = socket(AF_UNIX, SOCK_STREAM, 0);
+  ASSERT_GE(listener, 0);
+  sockaddr_un addr{};
+  addr.sun_family = AF_UNIX;
+  std::strncpy(addr.sun_path, path.c_str(), sizeof(addr.sun_path) - 1);
+  ASSERT_EQ(bind(listener, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)), 0);
+  ASSERT_EQ(listen(listener, 1), 0);
+
+  std::atomic<bool> done{false};
+  std::thread peer([&] {
+    const int fd = accept(listener, nullptr, nullptr);
+    std::uint8_t request[serve::kWireHeaderSize];
+    if (fd >= 0 && read(fd, request, sizeof request) == static_cast<ssize_t>(sizeof request)) {
+      std::vector<std::uint8_t> replies = frame_of(serve::MsgType::kPong, 0);
+      const std::vector<std::uint8_t> extra = frame_of(serve::MsgType::kPong, 0);
+      replies.insert(replies.end(), extra.begin(), extra.end());
+      (void)send(fd, replies.data(), replies.size(), MSG_NOSIGNAL);
+    }
+    while (!done.load()) std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    if (fd >= 0) close(fd);
+  });
+
+  serve::ServeConnection conn(path);
+  EXPECT_FALSE(conn.ping());
+  EXPECT_TRUE(conn.broken());
+  done.store(true);
+  peer.join();
+  close(listener);
+  unlink(path.c_str());
+}
+
+std::string hex(const std::vector<std::uint8_t>& bytes) {
+  std::string out;
+  char buf[3];
+  for (const std::uint8_t b : bytes) {
+    std::snprintf(buf, sizeof buf, "%02x", b);
+    out += buf;
+  }
+  return out;
+}
+
+// The wire format is a contract with deployed clients: one fixed request
+// and its Decision reply, pinned byte for byte.
+TEST(ServeWire, DecideAndDecisionFrameBytesArePinned) {
+  serve::Server server({unique_socket_path("pin"), 8, 16, nullptr});
+  ASSERT_TRUE(server.start());
+  RawConn conn(server.socket_path());
+  ASSERT_TRUE(conn.ok());
+  ASSERT_TRUE(conn.send_bytes(hello_frame(7, test_stream_info())));
+  ASSERT_EQ(conn.read_frame(), frame_of(serve::MsgType::kHelloOk, 7));
+
+  core::DecisionRequest req = sample_request(1);
+  req.event = core::DecisionEvent::kReplan;
+  const std::vector<std::uint8_t> decide = decide_frame(7, req);
+  EXPECT_EQ(hex(decide), "55000000564601030700000000000000d41d8e454c347cd5"  // header, stream 7
+                        "00011b41000000000000020005000000000000000100000000000000a08601"
+                        "00000000003582000000000000000000000000000000000000000020400000"
+                        "000000000000000000000000000000000000eb58714100");
+  ASSERT_TRUE(conn.send_bytes(decide));
+  EXPECT_EQ(hex(conn.read_frame()),
+            "330000005646010407000000000000005d037a8dfa913e56"  // header
+            "010000" "00000000" "01000000"                      // planned, cluster 0 of 1
+            "a0bb0d00"                                          // 900 MHz
+            "00000000000000000000000000000000000000000000000000000000"  // 7 unused clusters
+            "0000000000000000");                                // decode_mape
+  server.stop();
+}
+
+// A steady-state decision is one write and one read on each side (4
+// syscalls) and allocates nothing on either side. The server runs in
+// this process, so the allocation count covers both.
+TEST(ServeTransport, SteadyStateDecisionIsFourSyscallsAndNoAllocation) {
+  serve::Server server({unique_socket_path("diet"), 8, 16, nullptr});
+  ASSERT_TRUE(server.start());
+  serve::ServeConnection conn(server.socket_path());
+  const std::uint64_t stream = conn.open_stream(test_stream_info());
+
+  // Warm-up: predictor windows fill, per-representation state exists and
+  // every buffer has reached its working size.
+  std::uint64_t i = 0;
+  for (; i < 256; ++i) conn.decide(stream, sample_request(i));
+
+  constexpr std::uint64_t kDecisions = 1000;
+  const serve::ServerStats before = server.stats();
+  const std::uint64_t client_before = conn.syscalls();
+  const std::uint64_t allocs_before = test::allocations();
+  test::count_allocations(true);
+  for (std::uint64_t n = 0; n < kDecisions; ++n, ++i) conn.decide(stream, sample_request(i));
+  test::count_allocations(false);
+  const serve::ServerStats after = server.stats();
+
+  EXPECT_EQ(test::allocations() - allocs_before, 0u);
+  EXPECT_EQ(conn.syscalls() - client_before, 2 * kDecisions);
+  EXPECT_EQ(after.socket_reads - before.socket_reads, kDecisions);
+  EXPECT_EQ(after.socket_writes - before.socket_writes, kDecisions);
+  EXPECT_EQ(after.requests - before.requests, kDecisions);
+  server.stop();
+}
+
+// stats() counts live connections and keeps every reaped connection's
+// totals: requests never go backwards across a disconnect.
+TEST(ServeTransport, StatsSurviveConnectionReaping) {
+  serve::Server server({unique_socket_path("reap"), 8, 16, nullptr});
+  ASSERT_TRUE(server.start());
+  {
+    serve::ServeConnection conn(server.socket_path());
+    const std::uint64_t stream = conn.open_stream(test_stream_info());
+    for (std::uint64_t i = 0; i < 10; ++i) conn.decide(stream, sample_request(i));
+    EXPECT_EQ(server.stats().requests, 10u);  // live connection
+  }
+  // A new connection makes the accept loop reap the finished one.
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  serve::ServeConnection next(server.socket_path());
+  ASSERT_TRUE(next.ping());
+  EXPECT_EQ(server.stats().requests, 10u);
+  EXPECT_EQ(server.stats().connections_closed, 1u);
+  server.stop();
+  EXPECT_EQ(server.stats().requests, 10u);
+  EXPECT_GT(server.stats().latency_mean_us, 0.0);
+}
+
+// ---------------------------------------------------------------------------
 // Daemon lifecycle: the real vafsd binary.
 
 class VafsdProcess {
@@ -341,6 +724,58 @@ TEST(VafsdLifecycle, ClientReconnectsAfterRestartWithFreshEpoch) {
 
   ASSERT_EQ(kill(daemon2.pid(), SIGTERM), 0);
   const int status = daemon2.wait_exit();
+  ASSERT_NE(status, -1);
+  ASSERT_TRUE(WIFEXITED(status));
+  EXPECT_EQ(WEXITSTATUS(status), 0);
+}
+
+// Stream opens whose configs the decision core cannot run (window 0 used
+// to crash vafsd with SIGSEGV, window 2^40 with bad_alloc): each is
+// refused with kBadConfig, and the daemon — the same connection included —
+// keeps serving.
+TEST(VafsdLifecycle, HostileHellosAreRefusedAndTheDaemonServesOn) {
+  const std::string socket = unique_socket_path("hostile");
+  VafsdProcess daemon(socket);
+  ASSERT_GT(daemon.pid(), 0);
+  ASSERT_TRUE(daemon.wait_ready());
+
+  serve::ServeConnection conn(socket);
+  const auto hostile = [](void (*mutate)(core::VafsConfig&)) {
+    core::DecisionStreamInfo info = test_stream_info();
+    mutate(info.config);
+    return info;
+  };
+  const std::vector<core::DecisionStreamInfo> configs = {
+      hostile([](core::VafsConfig& c) { c.predictor.window = 0; }),
+      hostile([](core::VafsConfig& c) { c.predictor.window = std::size_t{1} << 40; }),
+      hostile([](core::VafsConfig& c) {
+        c.safety_margin = std::numeric_limits<double>::quiet_NaN();
+      }),
+      hostile([](core::VafsConfig& c) {
+        c.default_throughput_mbps = std::numeric_limits<double>::infinity();
+      }),
+  };
+  for (const auto& info : configs) {
+    try {
+      conn.open_stream(info);
+      ADD_FAILURE() << "hostile config accepted";
+    } catch (const core::SessionError& e) {
+      EXPECT_NE(std::string(e.what()).find("bad_config"), std::string::npos) << e.what();
+    }
+    EXPECT_FALSE(conn.broken());
+  }
+  EXPECT_TRUE(conn.ping());
+  const std::uint64_t stream = conn.open_stream(test_stream_info());
+  core::DecisionCore local(test_stream_info().config, test_stream_info().geometry);
+  for (std::uint64_t i = 0; i < 16; ++i) {
+    const core::DecisionRequest req = sample_request(i);
+    EXPECT_EQ(expected_decision(stream, conn.decide(stream, req)),
+              expected_decision(stream, local.decide(req)));
+  }
+  EXPECT_EQ(waitpid(daemon.pid(), nullptr, WNOHANG), 0) << "vafsd exited";
+
+  ASSERT_EQ(kill(daemon.pid(), SIGTERM), 0);
+  const int status = daemon.wait_exit();
   ASSERT_NE(status, -1);
   ASSERT_TRUE(WIFEXITED(status));
   EXPECT_EQ(WEXITSTATUS(status), 0);

@@ -47,6 +47,18 @@ TEST(SessionSmoke, VafsCompletesCleanly) {
   EXPECT_LT(r.vafs_decode_mape, 0.5);
 }
 
+// A config the decision core cannot run fails the session with a
+// SessionError at VAFS attach — recorded per task, never a crash.
+TEST(SessionSmoke, InvalidVafsConfigIsASessionError) {
+  SessionConfig config = base_config();
+  config.governor = "vafs";
+  config.vafs.predictor.window = 0;
+  EXPECT_THROW(run_session(config), SessionError);
+  config.vafs.predictor.window = 24;
+  config.vafs.predictor.quantile = 2.0;
+  EXPECT_THROW(run_session(config), SessionError);
+}
+
 TEST(SessionSmoke, VafsSavesCpuEnergyVsOndemand) {
   SessionConfig config = base_config();
   config.governor = "ondemand";
