@@ -26,6 +26,7 @@
 #include <cstdio>
 #include <fstream>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <utility>
 #include <vector>
@@ -45,17 +46,24 @@ namespace {
 using namespace vafs;
 
 /// Decorates a backend's streams with client-side round-trip timing: the
-/// full cost a session pays per decision (encode + socket + decode + the
-/// decision itself), recorded from the worker thread that waited for it.
+/// full cost a session pays per decision (encode + transport + decode +
+/// the decision itself), recorded from the worker thread that waited for
+/// it. A histogram has one writer, so each stream records into its own and
+/// folds it into the shared one when the session closes it.
 class TimingStream final : public core::DecisionStream {
  public:
-  TimingStream(std::unique_ptr<core::DecisionStream> inner, serve::LatencyHistogram* hist)
-      : inner_(std::move(inner)), hist_(hist) {}
+  TimingStream(std::unique_ptr<core::DecisionStream> inner, serve::LatencyHistogram* total,
+               std::mutex* total_mutex)
+      : inner_(std::move(inner)), total_(total), total_mutex_(total_mutex) {}
+  ~TimingStream() override {
+    std::lock_guard<std::mutex> lock(*total_mutex_);
+    total_->merge(hist_);
+  }
 
   core::DecisionResponse decide(const core::DecisionRequest& request) override {
     const auto t0 = std::chrono::steady_clock::now();
     core::DecisionResponse resp = inner_->decide(request);
-    hist_->record_ns(static_cast<std::uint64_t>(
+    hist_.record_ns(static_cast<std::uint64_t>(
         std::chrono::duration_cast<std::chrono::nanoseconds>(std::chrono::steady_clock::now() -
                                                              t0)
             .count()));
@@ -64,7 +72,9 @@ class TimingStream final : public core::DecisionStream {
 
  private:
   std::unique_ptr<core::DecisionStream> inner_;
-  serve::LatencyHistogram* hist_;
+  serve::LatencyHistogram hist_;
+  serve::LatencyHistogram* total_;
+  std::mutex* total_mutex_;
 };
 
 class TimingBackend final : public core::DecisionBackend {
@@ -73,12 +83,13 @@ class TimingBackend final : public core::DecisionBackend {
       : inner_(inner), hist_(hist) {}
 
   std::unique_ptr<core::DecisionStream> open(const core::DecisionStreamInfo& info) override {
-    return std::make_unique<TimingStream>(inner_->open(info), hist_);
+    return std::make_unique<TimingStream>(inner_->open(info), hist_, &mutex_);
   }
 
  private:
   core::DecisionBackend* inner_;
   serve::LatencyHistogram* hist_;
+  std::mutex mutex_;  // guards *hist_
 };
 
 double seconds_since(std::chrono::steady_clock::time_point start) {
@@ -233,13 +244,13 @@ int main(int argc, char** argv) {
   std::printf("%-26s %12s %12s\n", "digest chain",
               obs::digest_hex(served.digest_chain).c_str(),
               obs::digest_hex(inproc.digest_chain).c_str());
-  std::printf("serve: %llu decisions (%.0f/s), RTT p50/p95/p99 %.0f/%.0f/%.0f us "
+  std::printf("serve: %llu decisions (%.0f/s), RTT p50/p95/p99 %.1f/%.1f/%.1f us "
               "(mean %.1f)\n",
               static_cast<unsigned long long>(decisions), decisions_per_sec,
               rtt.percentile_us(0.50), rtt.percentile_us(0.95), rtt.percentile_us(0.99),
               rtt.mean_us());
   if (server != nullptr) {
-    std::printf("serve: server-side decide p50/p95/p99 %.0f/%.0f/%.0f us over %llu "
+    std::printf("serve: server-side decide p50/p95/p99 %.2f/%.2f/%.2f us over %llu "
                 "connections (%llu streams)\n",
                 sstats.latency_p50_us, sstats.latency_p95_us, sstats.latency_p99_us,
                 static_cast<unsigned long long>(sstats.connections_accepted),

@@ -4,7 +4,6 @@
 #include <sys/un.h>
 #include <unistd.h>
 
-#include <cerrno>
 #include <cstring>
 #include <map>
 
@@ -21,25 +20,22 @@ constexpr std::size_t kInitialRxBytes = 4096;
 }  // namespace
 
 ServeConnection::ServeConnection(const std::string& socket_path) : rx_(kInitialRxBytes) {
-  fd_ = socket(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0);
-  if (fd_ < 0) throw_transport("socket() failed");
+  const int fd = socket(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0);
+  if (fd < 0) throw_transport("socket() failed");
   sockaddr_un addr{};
   addr.sun_family = AF_UNIX;
   if (socket_path.size() >= sizeof(addr.sun_path)) {
-    close(fd_);
-    fd_ = -1;
+    close(fd);
     throw_transport("socket path too long");
   }
   std::memcpy(addr.sun_path, socket_path.c_str(), socket_path.size() + 1);
-  if (connect(fd_, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) < 0) {
-    close(fd_);
-    fd_ = -1;
+  if (connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) < 0) {
+    close(fd);
     throw_transport("connect failed (daemon not running?)");
   }
-}
-
-ServeConnection::~ServeConnection() {
-  if (fd_ >= 0) close(fd_);
+  const char* error = nullptr;
+  stream_ = ShmStream::attach(fd, &error);
+  if (!stream_) throw_transport(error);
 }
 
 void ServeConnection::fail(const char* what) {
@@ -50,38 +46,23 @@ void ServeConnection::fail(const char* what) {
 bool ServeConnection::send_frame(MsgType type, std::uint64_t stream_id) {
   tx_.clear();
   encode_frame(tx_, type, stream_id, body_);
-  std::size_t sent = 0;
-  while (sent < tx_.size()) {
-    // MSG_NOSIGNAL: a dead daemon surfaces as a SessionError via EPIPE,
-    // never as a SIGPIPE killing the client process.
-    const ssize_t n = send(fd_, tx_.data() + sent, tx_.size() - sent, MSG_NOSIGNAL);
-    ++syscalls_;
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return false;
-    }
-    sent += static_cast<std::size_t>(n);
-  }
-  return true;
+  return stream_->write_all(tx_.data(), tx_.size());
 }
 
 ServeConnection::Reply ServeConnection::round_trip(MsgType type, std::uint64_t stream_id) {
   if (broken_) throw_transport("connection is broken");
   if (!send_frame(type, stream_id)) fail("connection lost on send");
 
-  // One recv normally holds the whole reply; the header, once in, says
-  // how many bytes are still owed.
+  // One read normally holds the whole reply; the header, once in, says
+  // how many bytes are still owed. A tick only means the daemon is slow:
+  // read_some has already checked that it is alive.
   FrameHeader header;
   std::size_t got = 0;
   std::size_t need = kWireHeaderSize;
   while (got < need) {
-    const ssize_t n = recv(fd_, rx_.data() + got, rx_.size() - got, 0);
-    ++syscalls_;
-    if (n == 0) fail("connection lost awaiting reply");
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      fail("connection lost awaiting reply");
-    }
+    const long n = stream_->read_some(rx_.data() + got, rx_.size() - got);
+    if (n == ShmStream::kTick) continue;
+    if (n <= 0) fail("connection lost awaiting reply");
     const bool had_header = got >= kWireHeaderSize;
     got += static_cast<std::size_t>(n);
     if (!had_header && got >= kWireHeaderSize) {
@@ -136,7 +117,7 @@ core::DecisionResponse ServeConnection::decide(std::uint64_t stream_id,
 
 void ServeConnection::close_stream(std::uint64_t stream_id) noexcept {
   std::lock_guard<std::mutex> lock(mutex_);
-  if (broken_ || fd_ < 0) return;
+  if (broken_) return;
   body_.clear();
   if (!send_frame(MsgType::kClose, stream_id)) broken_ = true;
 }

@@ -1,17 +1,19 @@
 // Client side of the decision daemon protocol.
 //
-// ServeConnection is one Unix-socket connection: it frames messages,
-// verifies reply checksums, and serializes round trips with a mutex so
-// several streams can share it. A round trip encodes into buffers the
-// connection owns, sends once and normally receives the whole reply in
-// one recv — two syscalls and no allocation per decision.
+// ServeConnection is one connection to the daemon: it connects to the
+// Unix socket, receives the connection's shared-memory rings
+// (serve/shm_stream.h), frames messages, verifies reply checksums, and
+// serializes round trips with a mutex so several streams can share it. A
+// round trip encodes into buffers the connection owns, writes the frame
+// into the ring and reads the reply out of the other — at most one futex
+// wake and one futex wait, no socket call and no allocation per decision.
 // RemoteDecisionStream adapts one (conn, stream id) pair to the
 // core::DecisionStream interface — any transport or server failure
 // surfaces as core::SessionError, which the session layer already
 // captures per task. SocketBackend is the piece the fleet
 // plugs in: a DecisionBackend handing each worker thread its own lazily
-// opened connection (one socket per thread, ids allocated per connection,
-// zero cross-thread sharing).
+// opened connection (one connection per thread, ids allocated per
+// connection, zero cross-thread sharing).
 #pragma once
 
 #include <atomic>
@@ -21,16 +23,16 @@
 #include <string>
 
 #include "core/decision_core.h"
+#include "serve/shm_stream.h"
 #include "serve/wire.h"
 
 namespace vafs::serve {
 
 class ServeConnection {
  public:
-  /// Connects to the daemon at `socket_path`; throws core::SessionError
-  /// if the connect fails.
+  /// Connects to the daemon at `socket_path` and attaches its rings;
+  /// throws core::SessionError if either fails.
   explicit ServeConnection(const std::string& socket_path);
-  ~ServeConnection();
 
   ServeConnection(const ServeConnection&) = delete;
   ServeConnection& operator=(const ServeConnection&) = delete;
@@ -49,9 +51,9 @@ class ServeConnection {
   /// further call will throw. SocketBackend uses this to reconnect.
   bool broken() const { return broken_; }
 
-  /// send() and recv() calls made so far. Read it between calls, from the
-  /// thread that makes them.
-  std::uint64_t syscalls() const { return syscalls_; }
+  /// Transport calls made so far (futex waits and wakes, socket polls).
+  /// Read them between calls, from the thread that makes them.
+  const ShmStream::Counters& transport() const { return stream_->counters(); }
 
  private:
   /// A verified reply frame; `payload` points into rx_ and is valid until
@@ -67,16 +69,15 @@ class ServeConnection {
   /// including bytes beyond the one reply owed; a kError reply is
   /// returned to the caller for classification.
   Reply round_trip(MsgType type, std::uint64_t stream_id);
-  /// Frames body_ into tx_ and sends it; false on a transport failure.
+  /// Frames body_ into tx_ and writes it; false on a transport failure.
   bool send_frame(MsgType type, std::uint64_t stream_id);
   /// Marks the connection broken and throws core::SessionError.
   [[noreturn]] void fail(const char* what);
 
   std::mutex mutex_;
-  int fd_ = -1;
+  std::unique_ptr<ShmStream> stream_;
   bool broken_ = false;
   std::uint64_t next_stream_id_ = 0;
-  std::uint64_t syscalls_ = 0;
   // Request payload, request frame and reply frame; reused by every round
   // trip (the mutex serialises them).
   std::vector<std::uint8_t> body_;
@@ -100,10 +101,10 @@ class RemoteDecisionStream final : public core::DecisionStream {
   std::uint64_t stream_id_;
 };
 
-/// DecisionBackend over the daemon socket. Thread-compatible with the
+/// DecisionBackend over daemon connections. Thread-compatible with the
 /// experiment/fleet runners: each calling thread gets its own connection
 /// (created on first open), so worker parallelism maps to connection
-/// concurrency with no shared socket state between workers.
+/// concurrency with no shared connection state between workers.
 class SocketBackend final : public core::DecisionBackend {
  public:
   explicit SocketBackend(std::string socket_path) : socket_path_(std::move(socket_path)) {}

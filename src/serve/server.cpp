@@ -1,11 +1,12 @@
 #include "serve/server.h"
 
 #include <poll.h>
+#include <sched.h>
 #include <sys/socket.h>
-#include <sys/time.h>
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
 #include <exception>
@@ -13,36 +14,66 @@
 namespace vafs::serve {
 namespace {
 
-constexpr int kTickMs = 50;          // stop-flag tick: the socket's SO_RCVTIMEO
 constexpr int kDrainGraceMs = 1000;  // max wait for a mid-frame peer at drain
 // Initial receive buffer. It grows to the largest frame a peer sends, so
 // idle memory stays small instead of kMaxPayload per connection.
 constexpr std::size_t kInitialRxBytes = 4096;
 
-/// Sends all of `len`, counting each send() in `sends` (if given).
-bool write_all(int fd, const std::uint8_t* buf, std::size_t len,
-               std::atomic<std::uint64_t>* sends = nullptr) {
-  std::size_t sent = 0;
-  while (sent < len) {
-    // MSG_NOSIGNAL: a peer that died mid-reply is an EPIPE error, not a
-    // process-killing SIGPIPE — this server is often hosted in-process by
-    // tests and benches that do not ignore the signal.
-    // Counted before the call, so a peer holding the reply already sees it.
-    if (sends != nullptr) bump(*sends);
-    const ssize_t n = send(fd, buf + sent, len - sent, MSG_NOSIGNAL);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      if (errno == EAGAIN) {
-        pollfd pfd{fd, POLLOUT, 0};
-        poll(&pfd, 1, kTickMs);
-        continue;
-      }
+// Connection-thread placement. A socket write wakes its reader with the
+// scheduler's "sync" hint, which keeps a client and its connection thread
+// on one CPU; a FUTEX_WAKE has no such hint, so the woken thread often
+// lands on another CPU and each round trip then pays two cross-CPU wakes.
+// The client writes the CPU it runs on into the ring header with every
+// request, and the connection thread moves itself there once that CPU
+// has differed from its own for kFollowAfter requests in a row. A move
+// after which the two shared a CPU for fewer than kMoveHolds requests
+// (one CPU idle: the scheduler keeps pulling one of the pair over to it)
+// doubles the streak needed, up to kFollowAfterMax, so a pair that will
+// not stay together is left apart instead of chased.
+constexpr int kFollowAfter = 4;
+constexpr int kFollowAfterMax = 4096;
+constexpr std::uint64_t kMoveHolds = 256;
+
+class CpuFollower {
+ public:
+  CpuFollower() {
+    CPU_ZERO(&allowed_);
+    if (sched_getaffinity(0, sizeof allowed_, &allowed_) != 0) CPU_ZERO(&allowed_);
+  }
+
+  /// One request, written from `client_cpu` (a hint from shared memory:
+  /// anything outside this thread's CPU set is ignored). True if the
+  /// thread moved.
+  bool on_request(int client_cpu) {
+    if (client_cpu < 0 || client_cpu >= CPU_SETSIZE || !CPU_ISSET(client_cpu, &allowed_)) {
+      streak_ = 0;
       return false;
     }
-    sent += static_cast<std::size_t>(n);
+    if (client_cpu == sched_getcpu()) {
+      streak_ = 0;
+      ++held_;
+      return false;
+    }
+    if (++streak_ < need_) return false;
+    streak_ = 0;
+    need_ = held_ < kMoveHolds ? std::min(need_ * 2, kFollowAfterMax) : kFollowAfter;
+    held_ = 0;
+    // Pinning to the client's CPU migrates this thread there at once;
+    // restoring the full set leaves it there without keeping it pinned.
+    cpu_set_t one;
+    CPU_ZERO(&one);
+    CPU_SET(client_cpu, &one);
+    if (sched_setaffinity(0, sizeof one, &one) != 0) return false;
+    sched_setaffinity(0, sizeof allowed_, &allowed_);
+    return true;
   }
-  return true;
-}
+
+ private:
+  cpu_set_t allowed_;
+  int streak_ = 0;
+  int need_ = kFollowAfter;
+  std::uint64_t held_ = 0;  // requests on the client's CPU since the last move
+};
 
 void append_error_frame(std::vector<std::uint8_t>& out, std::uint64_t stream_id,
                         WireError code) {
@@ -127,6 +158,11 @@ void Server::accept_loop() {
     if (pr <= 0) continue;
     const int fd = accept4(listen_fd_, nullptr, nullptr, SOCK_CLOEXEC);
     if (fd < 0) continue;
+    // The connection's rings. Sending the memfd cannot block on a fresh
+    // socket, so a client that never completes its half of the handshake
+    // stalls nothing here.
+    std::unique_ptr<ShmStream> stream = ShmStream::create(fd);
+    if (!stream) continue;
 
     std::lock_guard<std::mutex> lock(connections_mutex_);
     // Reap finished connections so a long-lived daemon's registry doesn't
@@ -146,15 +182,15 @@ void Server::accept_loop() {
       // Bounded, observable backpressure: one error frame, then close.
       std::vector<std::uint8_t> reply;
       append_error_frame(reply, 0, WireError::kServerOverloaded);
-      write_all(fd, reply.data(), reply.size());
-      close(fd);
+      stream->write_all(reply.data(), reply.size());
+      stream.reset();
       rejected_.fetch_add(1, std::memory_order_relaxed);
       trace(obs::EventKind::kServeReject, next_connection_id_, 0);
       continue;
     }
 
     auto conn = std::make_unique<Connection>();
-    conn->fd = fd;
+    conn->stream = std::move(stream);
     conn->id = next_connection_id_++;
     accepted_.fetch_add(1, std::memory_order_relaxed);
     trace(obs::EventKind::kServeConnect, conn->id);
@@ -166,6 +202,7 @@ void Server::accept_loop() {
 
 void Server::serve_connection(Connection& conn) {
   StreamMap streams;
+  CpuFollower follower;
   // rx[head, tail) holds received, unhandled bytes; tx collects the
   // replies to one read's frames; body is reply-payload scratch. All three
   // are reused, so a steady-state decision allocates nothing.
@@ -178,17 +215,16 @@ void Server::serve_connection(Connection& conn) {
   bool draining = false;
   std::chrono::steady_clock::time_point drain_deadline;
 
-  const timeval tick{0, kTickMs * 1000};
-  bool open = setsockopt(conn.fd, SOL_SOCKET, SO_RCVTIMEO, &tick, sizeof tick) == 0;
+  ShmStream& stream = *conn.stream;
+  bool open = true;
   while (open) {
-    const ssize_t n = read(conn.fd, rx.data() + tail, rx.size() - tail);
-    if (n < 0 && errno != EAGAIN && errno != EWOULDBLOCK) {
-      if (errno == EINTR) continue;
-      break;
+    const long n = stream.read_some(rx.data() + tail, rx.size() - tail);
+    // Closed (mid-frame: the peer died mid-send) or an impossible index.
+    if (n == 0 || n == ShmStream::kBroken) break;
+    if (n > 0) {
+      tail += static_cast<std::size_t>(n);
+      if (follower.on_request(stream.client_cpu())) bump(conn.moves);
     }
-    if (n >= 0) bump(conn.socket_reads);
-    if (n == 0) break;  // orderly close (mid-frame: the peer died mid-send)
-    if (n > 0) tail += static_cast<std::size_t>(n);
 
     // Handle every complete frame before reading again.
     want = 0;
@@ -235,7 +271,7 @@ void Server::serve_connection(Connection& conn) {
     }
 
     if (!tx.empty()) {
-      if (!write_all(conn.fd, tx.data(), tx.size(), &conn.socket_writes)) break;
+      if (!stream.write_all(tx.data(), tx.size(), &stopping_)) break;
       tx.clear();
     }
     if (!open) break;
@@ -264,7 +300,13 @@ void Server::serve_connection(Connection& conn) {
     }
   }
 
-  close(conn.fd);
+  if (stream.broken()) {
+    // The peer wrote an impossible ring index: nothing it sends can be
+    // trusted any more.
+    protocol_errors_.fetch_add(1, std::memory_order_relaxed);
+    trace(obs::EventKind::kServeError, conn.id, 0);
+  }
+  stream.close();
   streams_closed_.fetch_add(streams.size(), std::memory_order_relaxed);
   closed_.fetch_add(1, std::memory_order_relaxed);
   trace(obs::EventKind::kServeDisconnect, conn.id,
@@ -364,8 +406,11 @@ bool Server::handle_frame(Connection& conn, StreamMap& streams, const FrameHeade
 void Server::retire(const Connection& conn) {
   retired_latency_.merge(conn.latency);
   retired_requests_ += conn.requests.load(std::memory_order_relaxed);
-  retired_reads_ += conn.socket_reads.load(std::memory_order_relaxed);
-  retired_writes_ += conn.socket_writes.load(std::memory_order_relaxed);
+  const ShmStream::Counters& t = conn.stream->counters();
+  retired_waits_ += t.futex_waits.load(std::memory_order_relaxed);
+  retired_wakes_ += t.futex_wakes.load(std::memory_order_relaxed);
+  retired_polls_ += t.polls.load(std::memory_order_relaxed);
+  retired_moves_ += conn.moves.load(std::memory_order_relaxed);
 }
 
 ServerStats Server::stats() const {
@@ -381,13 +426,18 @@ ServerStats Server::stats() const {
     std::lock_guard<std::mutex> lock(connections_mutex_);
     latency.merge(retired_latency_);
     s.requests = retired_requests_;
-    s.socket_reads = retired_reads_;
-    s.socket_writes = retired_writes_;
+    s.futex_waits = retired_waits_;
+    s.futex_wakes = retired_wakes_;
+    s.socket_polls = retired_polls_;
+    s.thread_moves = retired_moves_;
     for (const auto& c : connections_) {
       latency.merge(c->latency);
       s.requests += c->requests.load(std::memory_order_relaxed);
-      s.socket_reads += c->socket_reads.load(std::memory_order_relaxed);
-      s.socket_writes += c->socket_writes.load(std::memory_order_relaxed);
+      const ShmStream::Counters& t = c->stream->counters();
+      s.futex_waits += t.futex_waits.load(std::memory_order_relaxed);
+      s.futex_wakes += t.futex_wakes.load(std::memory_order_relaxed);
+      s.socket_polls += t.polls.load(std::memory_order_relaxed);
+      s.thread_moves += c->moves.load(std::memory_order_relaxed);
     }
   }
   s.latency_p50_us = latency.percentile_us(0.50);

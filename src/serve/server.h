@@ -1,5 +1,6 @@
-// The VAFS decision daemon: a Unix-domain socket server multiplexing many
-// per-connection decision streams.
+// The VAFS decision daemon: clients connect to a Unix-domain socket and
+// then exchange frames through per-connection shared-memory rings; each
+// connection multiplexes many decision streams.
 //
 // Threading model: one accept thread plus one thread per connection. A
 // connection owns its streams outright — stream ids are connection-scoped
@@ -11,11 +12,15 @@
 // per-request counters and the latency histogram are per connection,
 // written only by its thread and merged by stats().
 //
-// Transport: a connection thread makes one blocking read into a receive
-// buffer, handles every complete frame in it, and sends all replies with
-// one send — a steady-state decision is one read and one write on the
-// server. The socket's SO_RCVTIMEO bounds each read, which is the tick
-// at which the thread looks at the stop flag.
+// Transport: every accepted socket gets a pair of shared-memory rings
+// (serve/shm_stream.h); after the handshake the socket carries no frame
+// bytes, only liveness. A connection thread reads whatever its ring holds,
+// handles every complete frame in it, and writes all replies at once — a
+// steady-state decision is one futex wait and one futex wake on the
+// server and no socket call. Each wait lasts at most one tick, at which
+// the thread looks at the stop flag and the socket's liveness. A
+// connection thread also moves itself to the CPU its client runs on
+// (server.cpp, "Connection-thread placement").
 //
 // Shutdown: stop() (or SIGTERM in vafsd) flips the stop flag. Connection
 // threads finish the frame currently in flight — including one mid-read —
@@ -26,8 +31,8 @@
 //
 // Backpressure: at most `max_connections` live connections. Beyond that
 // the listener still accepts (the kernel backlog stays bounded), answers
-// a single kServerOverloaded error frame, and closes — observable by the
-// client and counted in stats().
+// a single kServerOverloaded error frame through the rings, and closes —
+// observable by the client and counted in stats().
 #pragma once
 
 #include <atomic>
@@ -41,6 +46,7 @@
 #include <vector>
 
 #include "obs/trace.h"
+#include "serve/shm_stream.h"
 #include "serve/stats.h"
 #include "serve/wire.h"
 
@@ -82,16 +88,16 @@ class Server {
 
  private:
   struct Connection {
-    int fd = -1;
+    std::unique_ptr<ShmStream> stream;
     std::uint64_t id = 0;
     std::thread thread;
     std::atomic<bool> done{false};
-    // Single writer (the connection thread); stats() reads them live and
-    // retire() folds them into the totals before the connection is reaped.
+    // Single writer (the connection thread), like the stream's counters;
+    // stats() reads them live and retire() folds them into the totals
+    // before the connection is reaped.
     LatencyHistogram latency;
     std::atomic<std::uint64_t> requests{0};
-    std::atomic<std::uint64_t> socket_reads{0};
-    std::atomic<std::uint64_t> socket_writes{0};
+    std::atomic<std::uint64_t> moves{0};
   };
   /// Connection-scoped stream table: only the owning thread touches it.
   using StreamMap = std::map<std::uint64_t, std::unique_ptr<core::DecisionCore>>;
@@ -122,8 +128,10 @@ class Server {
   // Totals of reaped connections (guarded by connections_mutex_).
   LatencyHistogram retired_latency_;
   std::uint64_t retired_requests_ = 0;
-  std::uint64_t retired_reads_ = 0;
-  std::uint64_t retired_writes_ = 0;
+  std::uint64_t retired_waits_ = 0;
+  std::uint64_t retired_wakes_ = 0;
+  std::uint64_t retired_polls_ = 0;
+  std::uint64_t retired_moves_ = 0;
 
   // Aggregate counters (relaxed; exact once quiesced).
   std::atomic<std::uint64_t> accepted_{0};

@@ -1,8 +1,9 @@
-// Serving-side metrics: a lock-free log-linear latency histogram and the
-// server's aggregate counters.
+// Serving-side metrics: a single-writer log-linear latency histogram and
+// the server's aggregate counters.
 #pragma once
 
 #include <atomic>
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 
@@ -15,22 +16,22 @@ inline void bump(std::atomic<std::uint64_t>& counter, std::uint64_t by = 1) {
   counter.store(counter.load(std::memory_order_relaxed) + by, std::memory_order_relaxed);
 }
 
-/// Log-linear histogram over nanosecond durations: 20 power-of-two decades
-/// from 1 µs to ~1 s, 8 linear sub-bins each, plus an underflow and an
-/// overflow bin. Relative error of a percentile estimate is bounded by the
-/// sub-bin width (≤ 12.5%). All counters are relaxed atomics so concurrent
-/// connection threads record without coordination and a snapshot reader
-/// never races.
+/// Log-linear histogram over nanosecond durations: 31 power-of-two decades
+/// from 1 ns to ~1.07 s, 8 linear sub-bins each, plus a zero bin and an
+/// overflow bin. A percentile is the lower edge of its bin, so it reads at
+/// most one sub-bin (12.5%) low. Single writer: record_ns() and merge()
+/// update the counters with bump(), so one thread at a time may write a
+/// histogram; any thread may read it meanwhile.
 class LatencyHistogram {
  public:
-  static constexpr std::size_t kDecades = 20;   // 2^0 .. 2^19 µs
+  static constexpr std::size_t kDecades = 31;  // 2^0 .. 2^30 ns
   static constexpr std::size_t kSubBins = 8;
-  static constexpr std::size_t kBins = kDecades * kSubBins + 2;  // +under/overflow
+  static constexpr std::size_t kBins = kDecades * kSubBins + 2;  // +zero/overflow
 
   void record_ns(std::uint64_t ns) {
-    bins_[bin_of(ns)].fetch_add(1, std::memory_order_relaxed);
-    count_.fetch_add(1, std::memory_order_relaxed);
-    sum_ns_.fetch_add(ns, std::memory_order_relaxed);
+    bump(bins_[bin_of(ns)]);
+    bump(count_);
+    bump(sum_ns_, ns);
   }
 
   std::uint64_t count() const { return count_.load(std::memory_order_relaxed); }
@@ -42,14 +43,17 @@ class LatencyHistogram {
   }
 
   /// Accumulates another histogram's counts into this one.
+  /// The count added is the sum of the bins read, so a snapshot of a
+  /// histogram that is still being written stays self-consistent.
   void merge(const LatencyHistogram& other) {
+    std::uint64_t n = 0;
     for (std::size_t i = 0; i < kBins; ++i) {
       const std::uint64_t v = other.bins_[i].load(std::memory_order_relaxed);
-      if (v != 0) bins_[i].fetch_add(v, std::memory_order_relaxed);
+      if (v != 0) bump(bins_[i], v);
+      n += v;
     }
-    count_.fetch_add(other.count_.load(std::memory_order_relaxed), std::memory_order_relaxed);
-    sum_ns_.fetch_add(other.sum_ns_.load(std::memory_order_relaxed),
-                      std::memory_order_relaxed);
+    bump(count_, n);
+    bump(sum_ns_, other.sum_ns_.load(std::memory_order_relaxed));
   }
 
   /// The p-quantile (p in [0,1]) in microseconds — the lower edge of the
@@ -68,27 +72,20 @@ class LatencyHistogram {
 
  private:
   static std::size_t bin_of(std::uint64_t ns) {
-    const std::uint64_t us = ns / 1000;
-    if (us < 1) return 0;                              // underflow: sub-µs
-    std::size_t decade = 0;
-    std::uint64_t v = us;
-    while (v >= 2 && decade + 1 < kDecades) {
-      v >>= 1;
-      ++decade;
-    }
-    if (us >> decade >= 2) return kBins - 1;           // overflow: >= 2^20 µs
-    const std::uint64_t base = std::uint64_t{1} << decade;
-    const std::uint64_t sub = (us - base) * kSubBins / base;  // 0..7
+    if (ns == 0) return 0;
+    const auto decade = static_cast<std::size_t>(std::bit_width(ns) - 1);  // floor(log2)
+    if (decade >= kDecades) return kBins - 1;  // overflow: >= 2^31 ns
+    const std::uint64_t sub = ((ns - (std::uint64_t{1} << decade)) * kSubBins) >> decade;
     return 1 + decade * kSubBins + static_cast<std::size_t>(sub);
   }
 
   static double bin_floor_us(std::size_t bin) {
     if (bin == 0) return 0.0;
-    if (bin == kBins - 1) return static_cast<double>(std::uint64_t{1} << kDecades);
+    if (bin == kBins - 1) return static_cast<double>(std::uint64_t{1} << kDecades) / 1e3;
     const std::size_t decade = (bin - 1) / kSubBins;
     const std::size_t sub = (bin - 1) % kSubBins;
     const double base = static_cast<double>(std::uint64_t{1} << decade);
-    return base + base * static_cast<double>(sub) / static_cast<double>(kSubBins);
+    return (base + base * static_cast<double>(sub) / static_cast<double>(kSubBins)) / 1e3;
   }
 
   std::atomic<std::uint64_t> bins_[kBins] = {};
@@ -105,11 +102,17 @@ struct ServerStats {
   std::uint64_t streams_closed = 0;
   std::uint64_t requests = 0;
   std::uint64_t protocol_errors = 0;
-  /// Socket calls on connection threads: reads that returned bytes or EOF
-  /// (receive-timeout ticks excluded) and sends. One of each per decision
-  /// in steady state.
-  std::uint64_t socket_reads = 0;
-  std::uint64_t socket_writes = 0;
+  /// Futex calls on connection threads: waits for a request and wakes of
+  /// a client waiting for its reply. At most one of each per decision in
+  /// steady state.
+  std::uint64_t futex_waits = 0;
+  std::uint64_t futex_wakes = 0;
+  /// Liveness polls of client sockets, one per wait that ended with
+  /// nothing to read (an idle tick, mostly). 0 while requests keep coming.
+  std::uint64_t socket_polls = 0;
+  /// Times a connection thread moved itself to its client's CPU (two
+  /// sched_setaffinity calls each). 0 while client and thread stay put.
+  std::uint64_t thread_moves = 0;
   double latency_p50_us = 0.0;
   double latency_p95_us = 0.0;
   double latency_p99_us = 0.0;

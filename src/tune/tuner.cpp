@@ -652,9 +652,11 @@ TuneReport run_tuner(const ParamSpace& space, const std::vector<TuneContext>& co
   if (!report.ok()) return report;
 
   FleetEvaluator fleet_eval(opts);
-  Driver drv{space, opts, evaluator != nullptr ? evaluator : &fleet_eval, report, {}, ""};
-  drv.state.space_fp = space.fingerprint();
-  drv.state.options_fp = options_fingerprint(opts, contexts);
+  StateFile state;
+  state.space_fp = space.fingerprint();
+  state.options_fp = options_fingerprint(opts, contexts);
+  Driver drv{space, opts, evaluator != nullptr ? evaluator : &fleet_eval, report,
+             std::move(state), std::string()};
 
   if (!opts.checkpoint_dir.empty()) {
     std::error_code ec;

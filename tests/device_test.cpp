@@ -279,8 +279,9 @@ TEST(PopulationMix, EmptyMixAndLegacyProfileKeepTheScalarDevicePath) {
   EXPECT_TRUE(run.result.device.empty());
   ASSERT_EQ(run.result.clusters.size(), 1u);
   EXPECT_EQ(run.result.clusters[0].name, "big");
-  EXPECT_TRUE(core::SessionConfig{}.profile.legacy());
-  EXPECT_TRUE(core::SessionConfig{}.population.empty());
+  const core::SessionConfig defaults;
+  EXPECT_TRUE(defaults.profile.legacy());
+  EXPECT_TRUE(defaults.population.empty());
 }
 
 }  // namespace

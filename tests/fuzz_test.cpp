@@ -2,20 +2,26 @@
 // configuration draws at the substrates and assert the conservation
 // invariants that must survive *any* usage, not just the scripted
 // scenarios of the unit tests.
-#include <poll.h>
+#include <fcntl.h>
+#include <linux/futex.h>
+#include <sys/mman.h>
 #include <sys/socket.h>
+#include <sys/stat.h>
+#include <sys/syscall.h>
 #include <sys/un.h>
 #include <unistd.h>
 
 #include <gtest/gtest.h>
 
-#include <cerrno>
 #include <chrono>
 #include <cmath>
 #include <cstring>
+#include <atomic>
 #include <limits>
+#include <memory>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -25,6 +31,7 @@
 #include "net/downloader.h"
 #include "serve/client.h"
 #include "serve/server.h"
+#include "serve/shm_stream.h"
 #include "serve/wire.h"
 #include "simcore/rng.h"
 #include "tune/param_space.h"
@@ -427,41 +434,41 @@ INSTANTIATE_TEST_SUITE_P(Seeds, ParamSpaceFuzz,
 
 namespace wire_fuzz {
 
-/// A raw socket client with poll-bounded reads: a server that stops
-/// responding is a test failure, not a wedged test binary.
+/// A raw client with tick-bounded reads through the connection's rings: a
+/// server that stops responding is a test failure, not a wedged test
+/// binary.
 class RawClient {
  public:
-  ~RawClient() { reset(); }
-
   bool connect_to(const std::string& path) {
-    reset();
-    fd_ = socket(AF_UNIX, SOCK_STREAM, 0);
-    if (fd_ < 0) return false;
+    stream_.reset();
+    const int fd = socket(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0);
+    if (fd < 0) return false;
     sockaddr_un addr{};
     addr.sun_family = AF_UNIX;
     std::strncpy(addr.sun_path, path.c_str(), sizeof(addr.sun_path) - 1);
-    if (connect(fd_, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) != 0) {
-      reset();
+    if (connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) != 0) {
+      close(fd);
       return false;
     }
-    return true;
+    const char* error = nullptr;
+    stream_ = serve::ShmStream::attach(fd, &error);
+    return stream_ != nullptr;
   }
 
-  bool connected() const { return fd_ >= 0; }
+  bool connected() const { return stream_ != nullptr; }
 
-  /// Best-effort send (the server may have already dropped us).
+  /// Best-effort write (the server may have already dropped us).
   void send_bytes(const std::uint8_t* data, std::size_t len) {
-    if (fd_ < 0) return;
-    (void)send(fd_, data, len, MSG_NOSIGNAL);
+    if (stream_) (void)stream_->write_all(data, len);
   }
   void send_bytes(const std::vector<std::uint8_t>& bytes) {
     send_bytes(bytes.data(), bytes.size());
   }
 
   /// Half-close: tells the server no more bytes are coming, so a read
-  /// blocked mid-frame sees EOF instead of waiting forever.
+  /// waiting mid-frame sees the end instead of waiting forever.
   void finish_sending() {
-    if (fd_ >= 0) shutdown(fd_, SHUT_WR);
+    if (stream_) stream_->shutdown_write();
   }
 
   /// Reads until the server closes the connection. Returns the number of
@@ -473,20 +480,13 @@ class RawClient {
         std::chrono::steady_clock::now() + std::chrono::milliseconds(timeout_ms);
     std::uint8_t buf[512];
     while (std::chrono::steady_clock::now() < deadline) {
-      pollfd pfd{fd_, POLLIN, 0};
-      const int pr = poll(&pfd, 1, 50);
-      if (pr <= 0) continue;
-      const ssize_t n = read(fd_, buf, sizeof buf);
-      if (n == 0) {
-        reset();
-        return total;  // clean drop
+      const long n = stream_->read_some(buf, sizeof buf);
+      if (n == serve::ShmStream::kTick) continue;
+      if (n <= 0) {
+        stream_.reset();
+        return total;  // a drop
       }
-      if (n < 0) {
-        if (errno == EINTR) continue;
-        reset();
-        return total;  // reset by peer: also a drop
-      }
-      total += static_cast<long>(n);
+      total += n;
     }
     return -1;
   }
@@ -518,16 +518,10 @@ class RawClient {
         *hung = true;
         return false;
       }
-      pollfd pfd{fd_, POLLIN, 0};
-      if (poll(&pfd, 1, 50) <= 0) continue;
-      const ssize_t n = read(fd_, buf + got, len - got);
-      if (n == 0) {
-        reset();
-        return false;
-      }
-      if (n < 0) {
-        if (errno == EINTR) continue;
-        reset();
+      const long n = stream_->read_some(buf + got, len - got);
+      if (n == serve::ShmStream::kTick) continue;
+      if (n <= 0) {
+        stream_.reset();
         return false;
       }
       got += static_cast<std::size_t>(n);
@@ -535,12 +529,7 @@ class RawClient {
     return true;
   }
 
-  void reset() {
-    if (fd_ >= 0) close(fd_);
-    fd_ = -1;
-  }
-
-  int fd_ = -1;
+  std::unique_ptr<serve::ShmStream> stream_;
 };
 
 core::DecisionStreamInfo valid_stream_info() {
@@ -578,6 +567,99 @@ std::vector<std::uint8_t> valid_frame(sim::Rng& rng) {
   }
   return frame;
 }
+
+/// Connects to `path` and receives the daemon's ring memfd by hand, the
+/// way any client could; the socket stays open in `*sock`. -1 on failure.
+int receive_ring_memfd(const std::string& path, int* sock) {
+  *sock = socket(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0);
+  if (*sock < 0) return -1;
+  sockaddr_un addr{};
+  addr.sun_family = AF_UNIX;
+  std::strncpy(addr.sun_path, path.c_str(), sizeof(addr.sun_path) - 1);
+  if (connect(*sock, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) != 0) return -1;
+  std::uint8_t byte = 0;
+  iovec iov{&byte, 1};
+  alignas(cmsghdr) char control[CMSG_SPACE(sizeof(int))] = {};
+  msghdr msg{};
+  msg.msg_iov = &iov;
+  msg.msg_iovlen = 1;
+  msg.msg_control = control;
+  msg.msg_controllen = sizeof control;
+  if (recvmsg(*sock, &msg, MSG_CMSG_CLOEXEC) != 1) return -1;
+  const cmsghdr* cmsg = CMSG_FIRSTHDR(&msg);
+  if (cmsg == nullptr || cmsg->cmsg_type != SCM_RIGHTS) return -1;
+  int fd = -1;
+  std::memcpy(&fd, CMSG_DATA(cmsg), sizeof fd);
+  return fd;
+}
+
+/// A hostile client holding its own mapping of a connection's rings: it
+/// can publish frames the honest way or write anything anywhere.
+class RingScribbler {
+ public:
+  ~RingScribbler() {
+    if (layout_ != nullptr) munmap(layout_, sizeof(serve::ShmLayout));
+    if (sock_ >= 0) close(sock_);
+  }
+
+  bool connect_to(const std::string& path) {
+    const int fd = receive_ring_memfd(path, &sock_);
+    if (fd < 0) return false;
+    void* base = mmap(nullptr, sizeof(serve::ShmLayout), PROT_READ | PROT_WRITE, MAP_SHARED, fd, 0);
+    close(fd);
+    if (base == MAP_FAILED) return false;
+    layout_ = static_cast<serve::ShmLayout*>(base);
+    return true;
+  }
+
+  serve::ShmLayout& layout() { return *layout_; }
+  serve::ShmRing& to_daemon() { return layout_->ring[serve::ShmLayout::kToServer]; }
+  serve::ShmRing& to_client() { return layout_->ring[serve::ShmLayout::kToClient]; }
+
+  /// Publishes `bytes` on the client-to-daemon ring and wakes the daemon.
+  void publish(const std::vector<std::uint8_t>& bytes) {
+    std::uint8_t* data = layout_->data[serve::ShmLayout::kToServer];
+    for (const std::uint8_t b : bytes) data[tail_++ % serve::kRingBytes] = b;
+    to_daemon().tail.store(tail_);
+    wake_daemon();
+  }
+
+  void wake_daemon() {
+    syscall(SYS_futex, &to_daemon().consumer_waiting, FUTEX_WAKE, 1, nullptr, nullptr, 0);
+  }
+
+  /// Reads `len` reply bytes the honest way; false if none came in time.
+  bool read(std::vector<std::uint8_t>& out, std::size_t len, int timeout_ms) {
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::milliseconds(timeout_ms);
+    while (to_client().tail.load() - head_ < len) {
+      if (std::chrono::steady_clock::now() >= deadline) return false;
+      std::this_thread::sleep_for(std::chrono::microseconds(200));
+    }
+    const std::uint8_t* data = layout_->data[serve::ShmLayout::kToClient];
+    out.clear();
+    for (std::size_t i = 0; i < len; ++i) out.push_back(data[head_++ % serve::kRingBytes]);
+    to_client().head.store(head_);
+    return true;
+  }
+
+  /// True once the daemon has closed its end within `timeout_ms`.
+  bool daemon_closes(int timeout_ms) {
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::milliseconds(timeout_ms);
+    while (layout_->closed[serve::ShmLayout::kToServer].load() == 0) {
+      if (std::chrono::steady_clock::now() >= deadline) return false;
+      std::this_thread::sleep_for(std::chrono::microseconds(200));
+    }
+    return true;
+  }
+
+ private:
+  int sock_ = -1;
+  serve::ShmLayout* layout_ = nullptr;
+  std::uint64_t tail_ = 0;
+  std::uint64_t head_ = 0;
+};
 
 }  // namespace wire_fuzz
 
@@ -621,8 +703,9 @@ TEST_P(WireFuzz, MalformedFramesNeverCrashOrHangTheServer) {
         break;
       }
       case 1: {
-        // Truncate mid-frame and disconnect: the committed read on the
-        // server must see EOF and drop, never wait forever.
+        // Truncate mid-frame and stop sending: the server, waiting for
+        // the rest of the frame, must see the end and drop, never wait
+        // forever.
         const auto keep = static_cast<std::size_t>(
             rng.uniform_int(1, static_cast<std::int64_t>(frame.size() - 1)));
         client.send_bytes(frame.data(), keep);
@@ -704,6 +787,188 @@ TEST_P(WireFuzz, MalformedFramesNeverCrashOrHangTheServer) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, WireFuzz,
                          ::testing::Range<std::uint64_t>(5000, 5008));  // 8 campaigns
+
+// The daemon seals every ring memfd before it hands it out: a client can
+// neither shrink it (which would SIGBUS the daemon on its next ring
+// access), grow it, nor lift the seals.
+TEST(WireFuzzHandshake, RingMemfdIsSealedAgainstResize) {
+  const std::string socket_path = "/tmp/vafs-wfs-" + std::to_string(getpid()) + ".sock";
+  serve::Server server({socket_path, 8, 16, nullptr});
+  ASSERT_TRUE(server.start());
+  int sock = -1;
+  const int fd = wire_fuzz::receive_ring_memfd(socket_path, &sock);
+  ASSERT_GE(fd, 0);
+  struct stat st {};
+  ASSERT_EQ(fstat(fd, &st), 0);
+  EXPECT_EQ(st.st_size, static_cast<off_t>(sizeof(serve::ShmLayout)));
+  const int seals = fcntl(fd, F_GET_SEALS);
+  EXPECT_NE(seals & F_SEAL_SHRINK, 0);
+  EXPECT_NE(seals & F_SEAL_GROW, 0);
+  EXPECT_NE(seals & F_SEAL_SEAL, 0);
+  EXPECT_NE(ftruncate(fd, 0), 0);
+  EXPECT_NE(ftruncate(fd, st.st_size / 2), 0);
+  EXPECT_NE(ftruncate(fd, st.st_size * 2), 0);
+  EXPECT_NE(fcntl(fd, F_ADD_SEALS, F_SEAL_WRITE), 0);
+  close(fd);
+  close(sock);
+
+  serve::ServeConnection good(socket_path);
+  EXPECT_TRUE(good.ping());
+  server.stop();
+}
+
+class WireFuzzRing : public ::testing::TestWithParam<std::uint64_t> {};
+
+// Hostile clients scribble impossible indices, random waiting words and
+// random bytes into their own live mappings while a well-behaved client
+// keeps deciding on the same daemon. A bad index is one protocol error and
+// drops that connection only; flag scribbles leave it serving; the good
+// client's decisions stay bit-equal to an in-process core throughout.
+TEST_P(WireFuzzRing, ScribbledMappingsDropOnlyThatConnection) {
+  sim::Rng rng(GetParam());
+  const std::string socket_path =
+      "/tmp/vafs-wfr-" + std::to_string(getpid()) + "-" + std::to_string(GetParam()) + ".sock";
+  serve::Server server({socket_path, 32, 16, nullptr});
+  ASSERT_TRUE(server.start());
+  constexpr int kTimeoutMs = 5000;
+
+  std::atomic<bool> stop{false};
+  std::atomic<std::uint64_t> good_decisions{0};
+  std::atomic<std::uint64_t> good_mismatches{0};
+  std::string good_error;
+  std::thread good([&] {
+    try {
+      serve::ServeConnection conn(socket_path);
+      const std::uint64_t stream = conn.open_stream(wire_fuzz::valid_stream_info());
+      core::DecisionCore local(wire_fuzz::valid_stream_info().config,
+                               wire_fuzz::valid_stream_info().geometry);
+      for (std::int64_t i = 0; !stop.load(); ++i) {
+        core::DecisionRequest req;
+        req.event = i % 2 == 0 ? core::DecisionEvent::kDecodeComplete
+                               : core::DecisionEvent::kReplan;
+        req.now_us = i * 33'333;
+        req.player_state = core::DecisionPlayerState::kPlaying;
+        req.decoded_ahead = static_cast<std::uint64_t>(i % 6);
+        req.total_frames = 1'000'000;
+        req.frame_period_us = 33'333;
+        req.throughput_mbps = 8.0;
+        req.observe_cycles = 9.0e6 + static_cast<double>(i % 17) * 1.0e5;
+        std::vector<std::uint8_t> got;
+        std::vector<std::uint8_t> want;
+        serve::encode_response(got, conn.decide(stream, req));
+        serve::encode_response(want, local.decide(req));
+        if (got != want) good_mismatches.fetch_add(1);
+        good_decisions.fetch_add(1);
+      }
+    } catch (const std::exception& e) {
+      good_error = e.what();
+    }
+  });
+  // A failed ASSERT below returns early: stop and join the good client
+  // first, so the failure is reported instead of ending the binary.
+  struct JoinGood {
+    std::atomic<bool>& stop;
+    std::thread& thread;
+    ~JoinGood() {
+      stop.store(true);
+      if (thread.joinable()) thread.join();
+    }
+  } join_good{stop, good};
+
+  int hostile = 0;
+  for (int iter = 0; iter < 24; ++iter) {
+    wire_fuzz::RingScribbler evil;
+    ASSERT_TRUE(evil.connect_to(socket_path));
+    ++hostile;
+    const std::uint64_t errors_before = server.stats().protocol_errors;
+    const std::uint64_t huge = std::uint64_t{1} << rng.uniform_int(15, 63);
+    switch (rng.uniform_int(0, 3)) {
+      case 0: {
+        // An impossible tail — more unread bytes than the ring holds —
+        // over a valid Ping: nothing behind an impossible index is read,
+        // so the daemon drops the connection without answering.
+        std::vector<std::uint8_t> ping;
+        serve::encode_frame(ping, serve::MsgType::kPing, 0, {});
+        std::memcpy(evil.layout().data[serve::ShmLayout::kToServer], ping.data(), ping.size());
+        evil.to_daemon().tail.store(serve::kRingBytes + 1 +
+                                    static_cast<std::uint64_t>(rng.uniform_int(0, 1 << 20)) +
+                                    huge);
+        evil.wake_daemon();
+        ASSERT_TRUE(evil.daemon_closes(kTimeoutMs)) << "iter " << iter;
+        EXPECT_EQ(evil.to_client().tail.load(), 0u) << "iter " << iter;
+        EXPECT_EQ(server.stats().protocol_errors - errors_before, 1u) << "iter " << iter;
+        break;
+      }
+      case 1: {
+        // An impossible head on the reply ring, then a request: the
+        // daemon must refuse to write its reply past it.
+        evil.to_client().head.store(huge + static_cast<std::uint64_t>(rng.uniform_int(1, 4096)));
+        std::vector<std::uint8_t> ping;
+        serve::encode_frame(ping, serve::MsgType::kPing, 0, {});
+        evil.publish(ping);
+        ASSERT_TRUE(evil.daemon_closes(kTimeoutMs)) << "iter " << iter;
+        EXPECT_EQ(server.stats().protocol_errors - errors_before, 1u) << "iter " << iter;
+        break;
+      }
+      case 2: {
+        // Garbage published with a valid index, then the end of input.
+        std::vector<std::uint8_t> garbage(
+            static_cast<std::size_t>(rng.uniform_int(1, 2 * serve::kRingBytes / 3)));
+        for (auto& b : garbage) b = static_cast<std::uint8_t>(rng.uniform_int(0, 255));
+        evil.publish(garbage);
+        evil.layout().closed[serve::ShmLayout::kToClient].store(1);
+        evil.wake_daemon();
+        ASSERT_TRUE(evil.daemon_closes(kTimeoutMs)) << "iter " << iter;
+        break;
+      }
+      default: {
+        // The daemon's waiting words, the header and the daemon's own
+        // reply bytes scribbled: none of them is trusted, so an honest
+        // ping right after still gets its pong.
+        evil.to_daemon().consumer_waiting.store(
+            static_cast<std::uint32_t>(rng.uniform_int(0, 0xFFFFFFFF)));
+        evil.to_client().producer_waiting.store(
+            static_cast<std::uint32_t>(rng.uniform_int(0, 0xFFFFFFFF)));
+        evil.layout().magic = static_cast<std::uint32_t>(rng.uniform_int(0, 0xFFFFFFFF));
+        evil.layout().ring_bytes = static_cast<std::uint32_t>(rng.uniform_int(0, 0xFFFFFFFF));
+        std::uint8_t* replies = evil.layout().data[serve::ShmLayout::kToClient];
+        for (int i = 0; i < 64; ++i) {
+          replies[rng.uniform_int(0, serve::kRingBytes - 1)] =
+              static_cast<std::uint8_t>(rng.uniform_int(0, 255));
+        }
+        std::vector<std::uint8_t> ping;
+        serve::encode_frame(ping, serve::MsgType::kPing, 0, {});
+        evil.publish(ping);
+        std::vector<std::uint8_t> pong;
+        std::vector<std::uint8_t> expected;
+        serve::encode_frame(expected, serve::MsgType::kPong, 0, {});
+        ASSERT_TRUE(evil.read(pong, expected.size(), kTimeoutMs)) << "iter " << iter;
+        EXPECT_EQ(pong, expected) << "iter " << iter;
+        EXPECT_EQ(server.stats().protocol_errors, errors_before) << "iter " << iter;
+        break;
+      }
+    }
+  }
+
+  // Every hostile connection is reaped — the ones still open once the
+  // daemon sees their sockets hang up — while the good one stays up.
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (server.stats().connections_closed < static_cast<std::uint64_t>(hostile) &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  EXPECT_EQ(server.stats().connections_closed, static_cast<std::uint64_t>(hostile));
+  stop.store(true);
+  good.join();
+  EXPECT_TRUE(good_error.empty()) << good_error;
+  EXPECT_GT(good_decisions.load(), 0u);
+  EXPECT_EQ(good_mismatches.load(), 0u);
+  EXPECT_TRUE(server.running());
+  server.stop();
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, WireFuzzRing,
+                         ::testing::Range<std::uint64_t>(5200, 5204));  // 4 campaigns
 
 // Semantically hostile stream configs, each framed with a valid checksum —
 // unlike the mutated frames above, they pass the wire checks and reach the

@@ -1,7 +1,7 @@
 // Serving-mode suite: the decision daemon must be *indistinguishable* from
 // in-process decisions, bit for bit, and robust as a long-lived process.
 //
-// Three layers:
+// Four layers:
 //
 //   1. Differential: the golden corpus (tests/golden_corpus.h — the same
 //      12 sessions golden_test.cpp pins) re-run with every VAFS plan
@@ -14,17 +14,19 @@
 //      perturb any other stream's digest; connections beyond the cap get
 //      one observable error frame and a close, bounded and counted.
 //
-//   3. Framing and transport: frames split across many reads or packed
-//      into one, drain with half a frame buffered or none, pinned frame
-//      bytes, and the steady-state cost of a decision — one read and one
-//      write per side, no heap allocation.
+//   3. Framing and transport: frames split across many ring writes or
+//      packed into one, drain with half a frame buffered or none, pinned
+//      frame bytes, the steady-state cost of a decision — no socket call,
+//      at most one futex wake and one futex wait per side, no heap
+//      allocation — no lost wake over a long ping-pong, and a prompt
+//      close when a client goes away.
 //
 //   4. Daemon lifecycle (the real vafsd binary, VAFS_VAFSD_PATH):
 //      readiness line, SIGTERM drains and exits 0 with clients still
 //      connected, a client reconnects to a restarted daemon — fresh
-//      epoch, same digests — and hostile stream configs are refused
-//      without taking the daemon down.
-#include <poll.h>
+//      epoch, same digests — a SIGKILLed daemon fails a waiting decision
+//      within two ticks, and hostile stream configs are refused without
+//      taking the daemon down.
 #include <signal.h>
 #include <sys/socket.h>
 #include <sys/un.h>
@@ -50,6 +52,8 @@
 #include "obs/trace.h"
 #include "serve/client.h"
 #include "serve/server.h"
+#include "serve/shm_stream.h"
+#include "serve/stats.h"
 #include "serve/wire.h"
 
 namespace vafs {
@@ -85,6 +89,94 @@ const std::map<std::string, std::uint64_t>& reference_digests() {
   }();
   return digests;
 }
+
+/// Connects a Unix socket to `path`; -1 on failure.
+int connect_socket(const std::string& path) {
+  const int fd = socket(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0);
+  if (fd < 0) return -1;
+  sockaddr_un addr{};
+  addr.sun_family = AF_UNIX;
+  std::strncpy(addr.sun_path, path.c_str(), sizeof(addr.sun_path) - 1);
+  if (connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) != 0) {
+    close(fd);
+    return -1;
+  }
+  return fd;
+}
+
+/// A raw client that writes exactly the bytes it is given into the
+/// connection's ring and reads replies byte for byte: no framing of its
+/// own.
+class RawConn {
+ public:
+  explicit RawConn(const std::string& path) {
+    const int fd = connect_socket(path);
+    const char* error = nullptr;
+    if (fd >= 0) stream_ = serve::ShmStream::attach(fd, &error);
+  }
+
+  bool ok() const { return stream_ != nullptr; }
+
+  bool send_bytes(const std::uint8_t* data, std::size_t len) {
+    return stream_->write_all(data, len);
+  }
+  bool send_bytes(const std::vector<std::uint8_t>& bytes) {
+    return send_bytes(bytes.data(), bytes.size());
+  }
+
+  /// Reads exactly `len` bytes within `timeout_ms`; false on close or
+  /// timeout.
+  bool read_exact(std::uint8_t* out, std::size_t len, int timeout_ms = 5000) {
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::milliseconds(timeout_ms);
+    std::size_t got = 0;
+    while (got < len) {
+      if (std::chrono::steady_clock::now() >= deadline) return false;
+      const long n = stream_->read_some(out + got, len - got);
+      if (n == serve::ShmStream::kTick) continue;
+      if (n <= 0) return false;
+      got += static_cast<std::size_t>(n);
+    }
+    return true;
+  }
+
+  /// One whole frame, raw bytes (header + payload); empty on failure.
+  std::vector<std::uint8_t> read_frame(int timeout_ms = 5000) {
+    std::vector<std::uint8_t> frame(serve::kWireHeaderSize);
+    serve::FrameHeader header;
+    if (!read_exact(frame.data(), frame.size(), timeout_ms) ||
+        serve::decode_header(frame.data(), header) != serve::WireError::kNone) {
+      return {};
+    }
+    frame.resize(serve::kWireHeaderSize + header.payload_len);
+    if (!read_exact(frame.data() + serve::kWireHeaderSize, header.payload_len, timeout_ms)) {
+      return {};
+    }
+    return frame;
+  }
+
+  /// True once the peer closes within `timeout_ms` (no bytes before it).
+  bool sees_eof(int timeout_ms = 5000) {
+    std::uint8_t byte = 0;
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::milliseconds(timeout_ms);
+    while (std::chrono::steady_clock::now() < deadline) {
+      const long n = stream_->read_some(&byte, 1);
+      if (n == serve::ShmStream::kTick) continue;
+      return n == 0;
+    }
+    return false;
+  }
+
+  /// True if nothing (no bytes, no close) arrives within one tick.
+  bool quiet() {
+    std::uint8_t byte = 0;
+    return stream_->read_some(&byte, 1) == serve::ShmStream::kTick;
+  }
+
+ private:
+  std::unique_ptr<serve::ShmStream> stream_;
+};
 
 class ServeDifferential : public ::testing::TestWithParam<int> {};
 
@@ -157,19 +249,14 @@ TEST(ServeIsolation, StalledClientDoesNotPerturbOtherStreams) {
   serve::Server server({unique_socket_path("stall"), 64, 16, nullptr});
   ASSERT_TRUE(server.start());
 
-  // The stalled client: a raw socket that sends only the first half of a
-  // valid Decide frame and then goes silent.
-  int stalled = socket(AF_UNIX, SOCK_STREAM, 0);
-  ASSERT_GE(stalled, 0);
-  sockaddr_un addr{};
-  addr.sun_family = AF_UNIX;
-  std::strncpy(addr.sun_path, server.socket_path().c_str(), sizeof(addr.sun_path) - 1);
-  ASSERT_EQ(connect(stalled, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)), 0);
+  // The stalled client: a raw connection that writes only the first half
+  // of a valid Decide frame and then goes silent.
+  RawConn stalled(server.socket_path());
+  ASSERT_TRUE(stalled.ok());
   std::vector<std::uint8_t> frame;
   serve::encode_frame(frame, serve::MsgType::kDecide, 0,
                       std::vector<std::uint8_t>(64, 0xAB));
-  ASSERT_EQ(write(stalled, frame.data(), frame.size() / 2),
-            static_cast<ssize_t>(frame.size() / 2));
+  ASSERT_TRUE(stalled.send_bytes(frame.data(), frame.size() / 2));
 
   // Meanwhile: a full corpus pass at concurrency 4.
   serve::SocketBackend backend(server.socket_path());
@@ -197,7 +284,6 @@ TEST(ServeIsolation, StalledClientDoesNotPerturbOtherStreams) {
     EXPECT_EQ(digests[i], reference.at(cases[i].name));
   }
 
-  close(stalled);
   server.stop();
 }
 
@@ -229,90 +315,6 @@ TEST(ServeBackpressure, OverCapConnectionsGetOneErrorFrameAndAClose) {
 
 // ---------------------------------------------------------------------------
 // Framing and transport.
-
-/// A raw client socket that writes exactly the bytes it is given.
-class RawConn {
- public:
-  explicit RawConn(const std::string& path) {
-    fd_ = socket(AF_UNIX, SOCK_STREAM, 0);
-    sockaddr_un addr{};
-    addr.sun_family = AF_UNIX;
-    std::strncpy(addr.sun_path, path.c_str(), sizeof(addr.sun_path) - 1);
-    if (fd_ >= 0 &&
-        connect(fd_, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) != 0) {
-      close(fd_);
-      fd_ = -1;
-    }
-  }
-  ~RawConn() {
-    if (fd_ >= 0) close(fd_);
-  }
-  RawConn(const RawConn&) = delete;
-  RawConn& operator=(const RawConn&) = delete;
-
-  bool ok() const { return fd_ >= 0; }
-
-  bool send_bytes(const std::uint8_t* data, std::size_t len) {
-    return send(fd_, data, len, MSG_NOSIGNAL) == static_cast<ssize_t>(len);
-  }
-  bool send_bytes(const std::vector<std::uint8_t>& bytes) {
-    return send_bytes(bytes.data(), bytes.size());
-  }
-
-  /// Reads exactly `len` bytes within `timeout_ms`; false on EOF, error
-  /// or timeout.
-  bool read_exact(std::uint8_t* out, std::size_t len, int timeout_ms = 5000) {
-    const auto deadline =
-        std::chrono::steady_clock::now() + std::chrono::milliseconds(timeout_ms);
-    std::size_t got = 0;
-    while (got < len) {
-      if (std::chrono::steady_clock::now() >= deadline) return false;
-      pollfd pfd{fd_, POLLIN, 0};
-      if (poll(&pfd, 1, 20) <= 0) continue;
-      const ssize_t n = read(fd_, out + got, len - got);
-      if (n <= 0) return false;
-      got += static_cast<std::size_t>(n);
-    }
-    return true;
-  }
-
-  /// One whole frame, raw bytes (header + payload); empty on failure.
-  std::vector<std::uint8_t> read_frame(int timeout_ms = 5000) {
-    std::vector<std::uint8_t> frame(serve::kWireHeaderSize);
-    serve::FrameHeader header;
-    if (!read_exact(frame.data(), frame.size(), timeout_ms) ||
-        serve::decode_header(frame.data(), header) != serve::WireError::kNone) {
-      return {};
-    }
-    frame.resize(serve::kWireHeaderSize + header.payload_len);
-    if (!read_exact(frame.data() + serve::kWireHeaderSize, header.payload_len, timeout_ms)) {
-      return {};
-    }
-    return frame;
-  }
-
-  /// True once the peer closes within `timeout_ms` (no bytes before it).
-  bool sees_eof(int timeout_ms = 5000) {
-    std::uint8_t byte = 0;
-    const auto deadline =
-        std::chrono::steady_clock::now() + std::chrono::milliseconds(timeout_ms);
-    while (std::chrono::steady_clock::now() < deadline) {
-      pollfd pfd{fd_, POLLIN, 0};
-      if (poll(&pfd, 1, 20) <= 0) continue;
-      return read(fd_, &byte, 1) <= 0;
-    }
-    return false;
-  }
-
-  /// True if nothing (no bytes, no close) is pending right now.
-  bool quiet() {
-    pollfd pfd{fd_, POLLIN, 0};
-    return poll(&pfd, 1, 0) == 0;
-  }
-
- private:
-  int fd_ = -1;
-};
 
 core::DecisionStreamInfo test_stream_info() {
   core::DecisionStreamInfo info;
@@ -365,9 +367,9 @@ std::vector<std::uint8_t> expected_decision(std::uint64_t stream_id,
   return frame_of(serve::MsgType::kDecision, stream_id, payload);
 }
 
-// A Hello and a Decide written one byte per send: each header and each
-// payload reach the server over many reads and are still reassembled and
-// answered exactly.
+// A Hello and a Decide written one byte per ring write: each header and
+// each payload reach the server over many reads and are still reassembled
+// and answered exactly.
 TEST(ServeFraming, FramesSentOneBytePerWriteAreReassembled) {
   serve::Server server({unique_socket_path("bytes"), 8, 16, nullptr});
   ASSERT_TRUE(server.start());
@@ -387,13 +389,13 @@ TEST(ServeFraming, FramesSentOneBytePerWriteAreReassembled) {
   core::DecisionCore local(test_stream_info().config, test_stream_info().geometry);
   EXPECT_EQ(conn.read_frame(), expected_decision(3, local.decide(req)));
   EXPECT_TRUE(conn.quiet());
-  // More reads than frames: the frames really did arrive in pieces.
-  EXPECT_GT(server.stats().socket_reads, 2u);
+  // More waits than frames: the frames really did arrive in pieces.
+  EXPECT_GT(server.stats().futex_waits, 2u);
   server.stop();
   EXPECT_EQ(server.stats().protocol_errors, 0u);
 }
 
-// Close + Hello + Decide for the same stream id in one send: every frame
+// Close + Hello + Decide for the same stream id in one write: every frame
 // in the buffer is handled, in order, before the next read — the Close
 // lands first (so the Hello is not a duplicate and the stream starts
 // fresh), and the replies arrive in request order.
@@ -475,9 +477,9 @@ TEST(ServeDrain, StopClosesAnIdleConnectionWithinATick) {
 }
 
 // The client is owed exactly one reply per request. A peer that sends
-// more (here: two Pongs for one Ping, in one send) has the stream out of
-// step, so the connection is marked broken instead of the extra bytes
-// being dropped or read as the next reply.
+// more (here: two Pongs for one Ping, in one ring write) has the stream
+// out of step, so the connection is marked broken instead of the extra
+// bytes being dropped or read as the next reply.
 TEST(ServeClient, BytesBeyondTheOwedReplyBreakTheConnection) {
   const std::string path = unique_socket_path("extra");
   const int listener = socket(AF_UNIX, SOCK_STREAM, 0);
@@ -491,15 +493,22 @@ TEST(ServeClient, BytesBeyondTheOwedReplyBreakTheConnection) {
   std::atomic<bool> done{false};
   std::thread peer([&] {
     const int fd = accept(listener, nullptr, nullptr);
+    std::unique_ptr<serve::ShmStream> stream;
+    if (fd >= 0) stream = serve::ShmStream::create(fd);
     std::uint8_t request[serve::kWireHeaderSize];
-    if (fd >= 0 && read(fd, request, sizeof request) == static_cast<ssize_t>(sizeof request)) {
+    std::size_t got = 0;
+    while (stream && got < sizeof request) {
+      const long n = stream->read_some(request + got, sizeof request - got);
+      if (n == 0 || n == serve::ShmStream::kBroken) break;
+      if (n > 0) got += static_cast<std::size_t>(n);
+    }
+    if (got == sizeof request) {
       std::vector<std::uint8_t> replies = frame_of(serve::MsgType::kPong, 0);
       const std::vector<std::uint8_t> extra = frame_of(serve::MsgType::kPong, 0);
       replies.insert(replies.end(), extra.begin(), extra.end());
-      (void)send(fd, replies.data(), replies.size(), MSG_NOSIGNAL);
+      stream->write_all(replies.data(), replies.size());
     }
     while (!done.load()) std::this_thread::sleep_for(std::chrono::milliseconds(5));
-    if (fd >= 0) close(fd);
   });
 
   serve::ServeConnection conn(path);
@@ -548,10 +557,10 @@ TEST(ServeWire, DecideAndDecisionFrameBytesArePinned) {
   server.stop();
 }
 
-// A steady-state decision is one write and one read on each side (4
-// syscalls) and allocates nothing on either side. The server runs in
-// this process, so the allocation count covers both.
-TEST(ServeTransport, SteadyStateDecisionIsFourSyscallsAndNoAllocation) {
+// A steady-state decision makes no socket call, at most one futex wake
+// and one futex wait on each side, and allocates nothing on either side.
+// The server runs in this process, so the allocation count covers both.
+TEST(ServeTransport, SteadyStateDecisionMakesNoSocketCallAndNoAllocation) {
   serve::Server server({unique_socket_path("diet"), 8, 16, nullptr});
   ASSERT_TRUE(server.start());
   serve::ServeConnection conn(server.socket_path());
@@ -562,21 +571,141 @@ TEST(ServeTransport, SteadyStateDecisionIsFourSyscallsAndNoAllocation) {
   std::uint64_t i = 0;
   for (; i < 256; ++i) conn.decide(stream, sample_request(i));
 
+  // A window in which a side waited out a whole tick (its peer was
+  // descheduled for 50 ms on a busy host) or the connection thread moved
+  // to a CPU the client migrated to is not steady state: the tick makes a
+  // liveness poll, the move two affinity calls. Such a window is measured
+  // again.
   constexpr std::uint64_t kDecisions = 1000;
-  const serve::ServerStats before = server.stats();
-  const std::uint64_t client_before = conn.syscalls();
-  const std::uint64_t allocs_before = test::allocations();
-  test::count_allocations(true);
-  for (std::uint64_t n = 0; n < kDecisions; ++n, ++i) conn.decide(stream, sample_request(i));
-  test::count_allocations(false);
-  const serve::ServerStats after = server.stats();
+  const serve::ShmStream::Counters& client = conn.transport();
+  bool measured = false;
+  for (int attempt = 0; attempt < 5 && !measured; ++attempt) {
+    const serve::ServerStats before = server.stats();
+    const std::uint64_t waits_before = client.futex_waits.load();
+    const std::uint64_t wakes_before = client.futex_wakes.load();
+    const std::uint64_t polls_before = client.polls.load();
+    const std::uint64_t allocs_before = test::allocations();
+    test::count_allocations(true);
+    for (std::uint64_t n = 0; n < kDecisions; ++n, ++i) conn.decide(stream, sample_request(i));
+    test::count_allocations(false);
+    const serve::ServerStats after = server.stats();
 
-  EXPECT_EQ(test::allocations() - allocs_before, 0u);
-  EXPECT_EQ(conn.syscalls() - client_before, 2 * kDecisions);
-  EXPECT_EQ(after.socket_reads - before.socket_reads, kDecisions);
-  EXPECT_EQ(after.socket_writes - before.socket_writes, kDecisions);
-  EXPECT_EQ(after.requests - before.requests, kDecisions);
+    EXPECT_EQ(test::allocations() - allocs_before, 0u);
+    EXPECT_EQ(after.requests - before.requests, kDecisions);
+    if (client.polls.load() != polls_before || after.socket_polls != before.socket_polls ||
+        after.thread_moves != before.thread_moves) {
+      continue;
+    }
+    measured = true;
+    EXPECT_LE(client.futex_waits.load() - waits_before, kDecisions);
+    EXPECT_LE(client.futex_wakes.load() - wakes_before, kDecisions);
+    EXPECT_LE(after.futex_waits - before.futex_waits, kDecisions);
+    EXPECT_LE(after.futex_wakes - before.futex_wakes, kDecisions);
+  }
+  EXPECT_TRUE(measured) << "every window made a socket call";
   server.stop();
+}
+
+// Destroying a client closes its end of the rings and wakes the server,
+// whose connection thread exits at once instead of at its next tick.
+TEST(ServeTransport, DestroyedConnectionClosesWithin20ms) {
+  serve::Server server({unique_socket_path("bye"), 8, 16, nullptr});
+  ASSERT_TRUE(server.start());
+  std::chrono::steady_clock::time_point t0;
+  {
+    serve::ServeConnection conn(server.socket_path());
+    ASSERT_TRUE(conn.ping());
+    t0 = std::chrono::steady_clock::now();
+  }
+  while (server.stats().connections_closed == 0 &&
+         std::chrono::steady_clock::now() - t0 < std::chrono::seconds(1)) {
+    std::this_thread::sleep_for(std::chrono::microseconds(200));
+  }
+  const auto elapsed = std::chrono::steady_clock::now() - t0;
+  EXPECT_EQ(server.stats().connections_closed, 1u);
+  EXPECT_LT(elapsed, std::chrono::milliseconds(20));
+  server.stop();
+}
+
+/// A connected pair of stream ends over a socketpair, as the daemon and a
+/// client would hold them.
+struct StreamPair {
+  std::unique_ptr<serve::ShmStream> daemon;
+  std::unique_ptr<serve::ShmStream> client;
+};
+
+StreamPair make_stream_pair() {
+  int sv[2] = {-1, -1};
+  if (socketpair(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0, sv) != 0) return {};
+  StreamPair pair;
+  pair.daemon = serve::ShmStream::create(sv[0]);
+  const char* error = nullptr;
+  pair.client = serve::ShmStream::attach(sv[1], &error);
+  return pair;
+}
+
+/// Reads exactly `len` bytes; false on close or a broken stream.
+bool read_all(serve::ShmStream& stream, std::uint8_t* buf, std::size_t len) {
+  std::size_t got = 0;
+  while (got < len) {
+    const long n = stream.read_some(buf + got, len - got);
+    if (n == serve::ShmStream::kTick) continue;
+    if (n <= 0) return false;
+    got += static_cast<std::size_t>(n);
+  }
+  return true;
+}
+
+// 100k round trips between two threads: no wait may run out its tick
+// while the peer's bytes were already published — that would be a lost
+// wake, and a 50 ms stall for the decision waiting on it.
+TEST(ShmStreamWake, PingPongLosesNoWake) {
+  StreamPair pair = make_stream_pair();
+  ASSERT_TRUE(pair.daemon && pair.client);
+  constexpr std::uint64_t kRoundTrips = 100'000;
+
+  std::thread echo([&] {
+    std::uint8_t buf[8];
+    while (read_all(*pair.daemon, buf, sizeof buf)) {
+      if (!pair.daemon->write_all(buf, sizeof buf)) return;
+    }
+  });
+  std::uint64_t done = 0;
+  for (; done < kRoundTrips; ++done) {
+    std::uint8_t out[8];
+    std::uint8_t back[8] = {};
+    std::memcpy(out, &done, sizeof out);
+    if (!pair.client->write_all(out, sizeof out) || !read_all(*pair.client, back, sizeof back) ||
+        std::memcmp(out, back, sizeof out) != 0 ||
+        pair.client->counters().late_wakes.load() != 0) {
+      break;
+    }
+  }
+  pair.client->close();
+  echo.join();
+
+  EXPECT_EQ(done, kRoundTrips);
+  EXPECT_EQ(pair.client->counters().late_wakes.load(), 0u);
+  EXPECT_EQ(pair.daemon->counters().late_wakes.load(), 0u);
+  // The sleep path really ran: a ring read with nothing pending waits.
+  EXPECT_GT(pair.client->counters().futex_waits.load() +
+                pair.daemon->counters().futex_waits.load(),
+            0u);
+}
+
+// A frame larger than the ring streams through it: the writer blocks while
+// the ring is full and the reader's progress wakes it.
+TEST(ShmStreamWake, WritesLargerThanTheRingStreamThrough) {
+  StreamPair pair = make_stream_pair();
+  ASSERT_TRUE(pair.daemon && pair.client);
+  std::vector<std::uint8_t> big(serve::kWireHeaderSize + serve::kMaxPayload);
+  for (std::size_t i = 0; i < big.size(); ++i) big[i] = static_cast<std::uint8_t>(i * 131);
+  std::thread writer([&] { EXPECT_TRUE(pair.client->write_all(big.data(), big.size())); });
+  std::vector<std::uint8_t> got(big.size());
+  EXPECT_TRUE(read_all(*pair.daemon, got.data(), got.size()));
+  writer.join();
+  EXPECT_EQ(got, big);
+  EXPECT_EQ(pair.client->counters().late_wakes.load(), 0u);
 }
 
 // stats() counts live connections and keeps every reaped connection's
@@ -599,6 +728,45 @@ TEST(ServeTransport, StatsSurviveConnectionReaping) {
   server.stop();
   EXPECT_EQ(server.stats().requests, 10u);
   EXPECT_GT(server.stats().latency_mean_us, 0.0);
+}
+
+// Server-side decide takes a fraction of a microsecond: the histogram must
+// resolve it instead of reporting 0.
+TEST(LatencyHistogramTest, ResolvesSubMicrosecondLatencies) {
+  serve::LatencyHistogram h;
+  for (int i = 0; i < 1000; ++i) h.record_ns(200);
+  // The lower edge of 200 ns's bin, at most one sub-bin (12.5%) below.
+  EXPECT_GT(h.percentile_us(0.50), 0.175);
+  EXPECT_LE(h.percentile_us(0.50), 0.200);
+  EXPECT_DOUBLE_EQ(h.mean_us(), 0.2);
+  h.record_ns(0);
+  EXPECT_EQ(h.percentile_us(0.0), 0.0);
+  EXPECT_EQ(h.count(), 1001u);
+}
+
+// Merging per-connection histograms is exact: the merge of two histograms
+// answers every query as one histogram that recorded both sample sets.
+TEST(LatencyHistogramTest, MergeIsExact) {
+  serve::LatencyHistogram a;
+  serve::LatencyHistogram b;
+  serve::LatencyHistogram both;
+  std::uint64_t x = 88172645463325252ull;
+  for (int i = 0; i < 5000; ++i) {
+    x ^= x << 13;
+    x ^= x >> 7;
+    x ^= x << 17;
+    // 0 ns up to past the overflow edge (2^31 ns), log-uniformly.
+    const std::uint64_t ns = (x >> 30) >> (x % 34);
+    (i % 3 == 0 ? a : b).record_ns(ns);
+    both.record_ns(ns);
+  }
+  a.merge(b);
+  EXPECT_EQ(a.count(), both.count());
+  EXPECT_DOUBLE_EQ(a.mean_us(), both.mean_us());
+  for (int q = 0; q <= 1000; ++q) {
+    const double p = q / 1000.0;
+    EXPECT_EQ(a.percentile_us(p), both.percentile_us(p)) << "p = " << p;
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -721,6 +889,60 @@ TEST(VafsdLifecycle, ClientReconnectsAfterRestartWithFreshEpoch) {
     digest = run_case_digest(c, &backend);
   }
   EXPECT_EQ(digest, reference.at(c.name));
+
+  ASSERT_EQ(kill(daemon2.pid(), SIGTERM), 0);
+  const int status = daemon2.wait_exit();
+  ASSERT_NE(status, -1);
+  ASSERT_TRUE(WIFEXITED(status));
+  EXPECT_EQ(WEXITSTATUS(status), 0);
+}
+
+// SIGKILL the daemon while a client waits for a reply: the waiting side
+// notices the dead socket at its next liveness poll, so the decision fails
+// with a SessionError within two ticks, and the backend reconnects to the
+// respawned daemon.
+TEST(VafsdLifecycle, SigkillWhileAwaitingAReplyFailsWithinTwoTicksAndReconnects) {
+  const std::string socket = unique_socket_path("sigkill");
+  serve::SocketBackend backend(socket);
+  {
+    VafsdProcess daemon(socket);
+    ASSERT_GT(daemon.pid(), 0);
+    ASSERT_TRUE(daemon.wait_ready());
+    std::unique_ptr<core::DecisionStream> stream = backend.open(test_stream_info());
+
+    // A stopped daemon cannot answer, so the decision below is still
+    // waiting (and ticking) when the SIGKILL lands.
+    ASSERT_EQ(kill(daemon.pid(), SIGSTOP), 0);
+    bool threw = false;
+    std::chrono::steady_clock::time_point failed_at;
+    std::thread waiter([&] {
+      try {
+        stream->decide(sample_request(0));
+      } catch (const core::SessionError&) {
+        threw = true;
+      }
+      failed_at = std::chrono::steady_clock::now();
+    });
+    std::this_thread::sleep_for(std::chrono::milliseconds(3 * serve::kTickMs));
+    const auto killed_at = std::chrono::steady_clock::now();
+    ASSERT_EQ(kill(daemon.pid(), SIGKILL), 0);
+    waiter.join();
+    EXPECT_TRUE(threw);
+    EXPECT_LE(failed_at - killed_at, std::chrono::milliseconds(2 * serve::kTickMs));
+    ASSERT_NE(daemon.wait_exit(), -1);
+  }
+
+  VafsdProcess daemon2(socket);
+  ASSERT_GT(daemon2.pid(), 0);
+  ASSERT_TRUE(daemon2.wait_ready());
+  std::unique_ptr<core::DecisionStream> stream = backend.open(test_stream_info());
+  EXPECT_EQ(backend.connections_opened(), 2u);
+  core::DecisionCore local(test_stream_info().config, test_stream_info().geometry);
+  for (std::uint64_t i = 0; i < 16; ++i) {
+    const core::DecisionRequest req = sample_request(i);
+    EXPECT_EQ(expected_decision(0, stream->decide(req)), expected_decision(0, local.decide(req)));
+  }
+  stream.reset();
 
   ASSERT_EQ(kill(daemon2.pid(), SIGTERM), 0);
   const int status = daemon2.wait_exit();
