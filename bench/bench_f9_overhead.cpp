@@ -3,7 +3,8 @@
 // A userspace governor is only deployable if its per-decision cost is
 // negligible next to the 33 ms frame period. Measures: one full VAFS
 // plan+actuate decision, predictor observe/predict, the sysfs write path,
-// and the simulation kernel's event costs for scale context.
+// and the simulation kernel's event costs for scale context (schedule and
+// fire, a periodic tick, a reschedule — the last two among 16 pending).
 #include <benchmark/benchmark.h>
 
 #include <memory>
@@ -125,6 +126,35 @@ void BM_EventScheduleAndFire(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_EventScheduleAndFire);
+
+void BM_PeriodicTickFire(benchmark::State& state) {
+  // One governor-style 4 ms tick per iteration, with 16 other events
+  // pending beyond any time reached: fire the series in place, then re-key
+  // it one period on.
+  sim::Simulator simulator;
+  for (int i = 1; i <= 16; ++i) simulator.at(sim::SimTime::seconds(1'000'000 + i), [] {});
+  std::uint64_t ticks = 0;
+  simulator.every(sim::SimTime::millis(4), [&ticks] { ++ticks; });
+  for (auto _ : state) {
+    simulator.step();
+  }
+  benchmark::DoNotOptimize(ticks);
+}
+BENCHMARK(BM_PeriodicTickFire);
+
+void BM_PendingEventReschedule(benchmark::State& state) {
+  // Moves one pending timer among 16 others (the CpuModel completion
+  // re-arm): re-keyed in place, up or down the heap.
+  sim::Simulator simulator;
+  for (int i = 1; i <= 16; ++i) simulator.at(sim::SimTime::millis(i), [] {});
+  sim::EventHandle timer = simulator.at(sim::SimTime::millis(20), [] {});
+  std::int64_t k = 0;
+  for (auto _ : state) {
+    k = (k + 7) % 17;
+    benchmark::DoNotOptimize(simulator.reschedule(timer, sim::SimTime::micros(k * 1000 + 500)));
+  }
+}
+BENCHMARK(BM_PendingEventReschedule);
 
 void BM_FullSessionSimulation(benchmark::State& state) {
   // Wall-clock cost of simulating one full 120 s session — documents the

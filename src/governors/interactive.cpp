@@ -48,7 +48,7 @@ std::vector<cpu::Tunable> InteractiveGovernor::tunables() {
   return {
       {"timer_rate", [this] { return std::to_string(t_.timer_rate_us); },
        [this](std::string_view v) -> sysfs::Status {
-         const auto us = parse_u64(v);
+         const auto us = parse_us(v);
          if (us == UINT64_MAX || us < 1000) return sysfs::Errno::kInval;
          t_.timer_rate_us = us;
          rearm();
@@ -77,7 +77,7 @@ std::vector<cpu::Tunable> InteractiveGovernor::tunables() {
        }},
       {"min_sample_time", [this] { return std::to_string(t_.min_sample_time_us); },
        [this](std::string_view v) -> sysfs::Status {
-         const auto us = parse_u64(v);
+         const auto us = parse_us(v);
          if (us == UINT64_MAX) return sysfs::Errno::kInval;
          t_.min_sample_time_us = us;
          return {};

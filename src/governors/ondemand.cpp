@@ -37,7 +37,7 @@ std::vector<cpu::Tunable> OndemandGovernor::tunables() {
   return {
       {"sampling_rate", [this] { return std::to_string(t_.sampling_rate_us); },
        [this](std::string_view v) -> sysfs::Status {
-         const auto us = parse_u64(v);
+         const auto us = parse_us(v);
          if (us == UINT64_MAX || us < 1000) return sysfs::Errno::kInval;
          t_.sampling_rate_us = us;
          rearm();

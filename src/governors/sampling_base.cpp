@@ -16,6 +16,12 @@ std::uint64_t parse_u64(std::string_view text) {
   return value;
 }
 
+std::uint64_t SamplingGovernorBase::parse_us(std::string_view text) const {
+  const std::uint64_t us = parse_u64(text);
+  const std::int64_t now = policy_ != nullptr ? policy_->simulator().now().as_micros() : 0;
+  return us < static_cast<std::uint64_t>(INT64_MAX - now) ? us : UINT64_MAX;
+}
+
 void SamplingGovernorBase::start(cpu::CpufreqPolicy& policy) {
   policy_ = &policy;
   last_busy_ = policy_->cpu().total_busy_time();

@@ -32,6 +32,11 @@ class SamplingGovernorBase : public cpu::Governor {
 
   cpu::CpufreqPolicy* policy() { return policy_; }
 
+  /// Parses a microsecond tunable; UINT64_MAX on failure, and also when
+  /// now() plus the value does not stay below SimTime::max() (a larger
+  /// value would wrap to a time before now()).
+  std::uint64_t parse_us(std::string_view text) const;
+
   /// Cancels and re-arms the timer (used after tunable writes that change
   /// the period).
   void rearm();

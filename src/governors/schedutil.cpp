@@ -28,7 +28,7 @@ std::vector<cpu::Tunable> SchedutilGovernor::tunables() {
   return {
       {"rate_limit_us", [this] { return std::to_string(t_.rate_limit_us); },
        [this](std::string_view v) -> sysfs::Status {
-         const auto us = parse_u64(v);
+         const auto us = parse_us(v);
          if (us == UINT64_MAX) return sysfs::Errno::kInval;
          t_.rate_limit_us = us;
          return {};

@@ -4,11 +4,6 @@
 
 namespace vafs::sim {
 
-namespace {
-/// Below this heap size, compaction is not worth the pass.
-constexpr std::size_t kCompactMinHeap = 64;
-}  // namespace
-
 void EventHandle::cancel() {
   if (queue_ != nullptr) queue_->cancel_slot(slot_, gen_);
 }
@@ -19,7 +14,8 @@ bool EventHandle::pending() const {
 
 EventQueue::EventQueue(Arena* arena) : arena_(arena) {
   if (arena_ != nullptr) {
-    slots_ = std::move(arena_->slots_);
+    chunks_ = std::move(arena_->chunks_);
+    meta_ = std::move(arena_->meta_);
     heap_ = std::move(arena_->heap_);
     free_ = std::move(arena_->free_);
   }
@@ -27,12 +23,15 @@ EventQueue::EventQueue(Arena* arena) : arena_(arena) {
 
 EventQueue::~EventQueue() {
   if (arena_ != nullptr) {
-    // Return the storage with its capacity; contents (including any
-    // pending callbacks) are destroyed, generations reset with the slots.
-    slots_.clear();
+    // Return the storage with its capacity; pending callbacks (and one
+    // abandoned by a throwing callback) are destroyed, generations reset
+    // with the slots.
+    for (std::uint32_t i = 0; i < meta_.size(); ++i) fn(i).reset();
+    meta_.clear();
     heap_.clear();
     free_.clear();
-    arena_->slots_ = std::move(slots_);
+    arena_->chunks_ = std::move(chunks_);
+    arena_->meta_ = std::move(meta_);
     arena_->heap_ = std::move(heap_);
     arena_->free_ = std::move(free_);
   }
@@ -44,19 +43,27 @@ std::uint32_t EventQueue::alloc_slot() {
     free_.pop_back();
     return idx;
   }
-  slots_.emplace_back();
-  return static_cast<std::uint32_t>(slots_.size() - 1);
+  const auto idx = static_cast<std::uint32_t>(meta_.size());
+  if ((idx >> kChunkShift) == chunks_.size()) {
+    chunks_.push_back(std::make_unique<EventFn[]>(std::size_t{1} << kChunkShift));
+  }
+  meta_.emplace_back();
+  return idx;
 }
 
-EventHandle EventQueue::arm(SimTime when, SimTime period, EventFn&& fn) {
+void EventQueue::release(std::uint32_t slot) {
+  fn(slot).reset();  // release captures eagerly
+  meta_[slot].period = SimTime::zero();
+  free_.push_back(slot);
+}
+
+EventHandle EventQueue::arm(SimTime when, SimTime period, EventFn&& f) {
   const std::uint32_t idx = alloc_slot();
-  Slot& s = slots_[idx];
-  s.fn = std::move(fn);
-  s.seq = next_seq_++;
-  s.period = period;
-  s.in_heap = true;
-  push_entry(HeapEntry{when, s.seq, idx, s.gen});
-  return EventHandle(this, idx, s.gen);
+  fn(idx) = std::move(f);
+  meta_[idx].period = period;
+  heap_.emplace_back();
+  sift_up(heap_.size() - 1, HeapEntry{when, next_seq_++, idx});
+  return EventHandle(this, idx, meta_[idx].gen);
 }
 
 EventHandle EventQueue::schedule(SimTime when, EventFn fn) {
@@ -70,137 +77,87 @@ EventHandle EventQueue::schedule_periodic(SimTime first, SimTime period, EventFn
 
 bool EventQueue::reschedule(const EventHandle& h, SimTime when) {
   if (h.queue_ != this || !slot_matches(h.slot_, h.gen_)) return false;
-  Slot& s = slots_[h.slot_];
-  if (s.in_heap) ++stale_;  // the old entry is now dead weight in the heap
-  s.seq = next_seq_++;
-  s.in_heap = true;
-  push_entry(HeapEntry{when, s.seq, h.slot_, s.gen});
+  update(meta_[h.slot_].pos, HeapEntry{when, next_seq_++, h.slot_});
   return true;
 }
 
 void EventQueue::cancel_slot(std::uint32_t slot, std::uint32_t gen) {
   if (!slot_matches(slot, gen)) return;
-  Slot& s = slots_[slot];
-  if (s.in_heap) {
-    ++stale_;
-    s.in_heap = false;
-  }
-  ++s.gen;
-  s.fn.reset();  // release captures eagerly
-  s.period = SimTime::zero();
-  free_.push_back(slot);
+  remove_at(meta_[slot].pos);
+  ++meta_[slot].gen;
+  // A series cancelled from its own callback is still running: fire_next
+  // releases it when the callback returns.
+  if (slot != firing_) release(slot);
 }
 
-void EventQueue::push_entry(const HeapEntry& e) {
-  if (stale_ > (heap_.size() >> 1) && heap_.size() >= kCompactMinHeap) compact();
-  heap_.push_back(e);
-  std::size_t i = heap_.size() - 1;
+void EventQueue::sift_up(std::size_t i, HeapEntry e) {
   while (i > 0) {
     const std::size_t parent = (i - 1) >> 2;
-    if (!before(heap_[i], heap_[parent])) break;
-    std::swap(heap_[i], heap_[parent]);
+    if (!before(e, heap_[parent])) break;
+    place(i, heap_[parent]);
     i = parent;
   }
+  place(i, e);
 }
 
-void EventQueue::sift_down(std::size_t i) {
+void EventQueue::sift_down(std::size_t i, HeapEntry e) {
   const std::size_t n = heap_.size();
   for (;;) {
     const std::size_t first_child = (i << 2) + 1;
-    if (first_child >= n) return;
+    if (first_child >= n) break;
     std::size_t best = first_child;
     const std::size_t last_child = first_child + 4 <= n ? first_child + 4 : n;
     for (std::size_t c = first_child + 1; c < last_child; ++c) {
       if (before(heap_[c], heap_[best])) best = c;
     }
-    if (!before(heap_[best], heap_[i])) return;
-    std::swap(heap_[i], heap_[best]);
+    if (!before(heap_[best], e)) break;
+    place(i, heap_[best]);
     i = best;
   }
+  place(i, e);
 }
 
-void EventQueue::pop_root() {
-  heap_.front() = heap_.back();
+void EventQueue::update(std::size_t i, const HeapEntry& e) {
+  if (i > 0 && before(e, heap_[(i - 1) >> 2])) {
+    sift_up(i, e);
+  } else {
+    sift_down(i, e);
+  }
+}
+
+void EventQueue::remove_at(std::size_t i) {
+  const HeapEntry last = heap_.back();
   heap_.pop_back();
-  if (!heap_.empty()) sift_down(0);
+  if (i < heap_.size()) update(i, last);
 }
 
-void EventQueue::settle_head() {
-  while (!heap_.empty() && is_stale(heap_.front())) {
-    pop_root();
-    --stale_;
-  }
-}
-
-void EventQueue::compact() {
-  std::size_t kept = 0;
-  for (std::size_t i = 0; i < heap_.size(); ++i) {
-    if (!is_stale(heap_[i])) heap_[kept++] = heap_[i];
-  }
-  heap_.resize(kept);
-  stale_ = 0;
-  if (heap_.size() > 1) {
-    for (std::size_t i = (heap_.size() - 2) >> 2; ; --i) {
-      sift_down(i);
-      if (i == 0) break;
-    }
-  }
-}
-
-bool EventQueue::empty() {
-  settle_head();
-  return heap_.empty();
-}
-
-SimTime EventQueue::next_time() {
-  settle_head();
-  assert(!heap_.empty());
-  return heap_.front().time;
-}
-
-void EventQueue::take_root(Popped* out) {
-  const HeapEntry e = heap_.front();
-  pop_root();
-
-  Slot& s = slots_[e.slot];
-  s.in_heap = false;
-  out->time = e.time;
-  out->slot = e.slot;
-  out->gen = e.gen;
-  out->periodic = !s.period.is_zero();
-  out->fn = std::move(s.fn);
-  if (!out->periodic) {
-    // One-shot: the slot dies with the firing, so outstanding handles
-    // report !pending() while the callback runs.
-    ++s.gen;
-    free_.push_back(e.slot);
-  }
-}
-
-EventQueue::Popped EventQueue::pop() {
-  settle_head();
-  assert(!heap_.empty());
-  Popped out;
-  take_root(&out);
-  return out;
-}
-
-bool EventQueue::pop_next(SimTime deadline, Popped* out) {
-  settle_head();
+bool EventQueue::fire_next(SimTime deadline, SimTime* clock) {
   if (heap_.empty() || heap_.front().time > deadline) return false;
-  take_root(out);
+  const HeapEntry top = heap_.front();
+  assert(top.time >= *clock);
+  *clock = top.time;
+  const std::uint32_t gen = meta_[top.slot].gen;
+  if (meta_[top.slot].period.is_zero()) {
+    // One-shot: the event dies with the firing, so outstanding handles
+    // report !pending() while the callback runs.
+    remove_at(0);
+    ++meta_[top.slot].gen;
+  }
+  // The slot is neither freed nor reused while its callback runs. A
+  // callback that throws ends the session: its slot stays claimed until
+  // the queue's destructor resets it.
+  firing_ = top.slot;
+  fn(top.slot)();
+  firing_ = kNoSlot;
+  if (meta_[top.slot].gen != gen) {
+    release(top.slot);  // a one-shot, or a series its callback cancelled
+  } else {
+    // Live series: re-key one period on with a fresh sequence, overriding
+    // any reschedule its callback made.
+    update(meta_[top.slot].pos,
+           HeapEntry{top.time + meta_[top.slot].period, next_seq_++, top.slot});
+  }
   return true;
-}
-
-void EventQueue::rearm(Popped&& popped) {
-  if (!popped.periodic) return;
-  if (!slot_matches(popped.slot, popped.gen)) return;  // series cancelled mid-fire
-  Slot& s = slots_[popped.slot];
-  if (s.in_heap) ++stale_;  // callback rescheduled its own series entry
-  s.fn = std::move(popped.fn);
-  s.seq = next_seq_++;
-  s.in_heap = true;
-  push_entry(HeapEntry{popped.time + s.period, s.seq, popped.slot, s.gen});
 }
 
 }  // namespace vafs::sim

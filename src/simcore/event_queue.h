@@ -3,18 +3,20 @@
 // Events are (time, sequence, callback) triples ordered by time and, for
 // equal times, by insertion order — guaranteeing deterministic execution.
 //
-// Storage is allocation-free in steady state: callbacks live in a slab of
-// pooled slots (small-buffer callables, no std::function), the priority
-// structure is a 4-ary implicit heap of 24-byte POD entries, and handles
-// are (slot, generation) pairs — cancellation is O(1) and lazy (the heap
-// entry is skipped when it surfaces, with a compaction pass when stale
-// entries outnumber live ones). A slab can be donated via EventQueue::Arena
-// so back-to-back simulations (the experiment runner's per-worker loop)
-// reuse the same memory.
+// Storage is allocation-free in steady state: callbacks live in pooled
+// slots (small-buffer callables, no std::function) inside fixed-size chunks
+// that never move, so a callback runs in place even while it schedules
+// more events. The priority structure is an indexed 4-ary heap of 24-byte
+// POD entries holding live events only: each slot records its heap
+// position, so reschedule re-keys and cancel removes an entry in place.
+// Handles are (slot, generation) pairs. A slab can be donated via
+// EventQueue::Arena so back-to-back simulations (the experiment runner's
+// per-worker loop) reuse the same memory.
 #pragma once
 
 #include <cassert>
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "simcore/inline_fn.h"
@@ -40,7 +42,9 @@ class EventHandle {
   /// and on empty handles. For a periodic series, cancels the series.
   void cancel();
 
-  /// True if the handle refers to an event that is still pending.
+  /// True if the handle refers to an event that is still pending. A
+  /// one-shot event stops being pending when it starts firing; a periodic
+  /// series stays pending until cancelled.
   bool pending() const;
 
  private:
@@ -56,19 +60,20 @@ class EventHandle {
 /// Min-heap of timed events with stable ordering for simultaneous events.
 class EventQueue {
  private:
-  struct Slot {
-    EventFn fn;
-    std::uint64_t seq = 0;  // sequence of this slot's live heap entry
-    SimTime period;         // nonzero => periodic series
-    std::uint32_t gen = 0;  // bumped on free; validates handles and entries
-    bool in_heap = false;
+  /// Per-slot bookkeeping, dense by slot index. The callback itself lives
+  /// in the chunked storage (fn()), whose addresses never change.
+  struct Meta {
+    SimTime period;          // nonzero => periodic series
+    std::uint32_t gen = 0;   // bumped when the event dies; validates handles
+    std::uint32_t pos = 0;   // heap index while the event is live
   };
   struct HeapEntry {
     SimTime time;
     std::uint64_t seq;
     std::uint32_t slot;
-    std::uint32_t gen;
   };
+  static constexpr std::uint32_t kChunkShift = 6;  // 64 callbacks per chunk
+  static constexpr std::uint32_t kNoSlot = UINT32_MAX;
 
  public:
   /// Reusable slab + heap storage. Donate one arena to at most one live
@@ -83,7 +88,8 @@ class EventQueue {
 
    private:
     friend class EventQueue;
-    std::vector<Slot> slots_;
+    std::vector<std::unique_ptr<EventFn[]>> chunks_;
+    std::vector<Meta> meta_;
     std::vector<HeapEntry> heap_;
     std::vector<std::uint32_t> free_;
   };
@@ -93,97 +99,85 @@ class EventQueue {
   EventQueue(const EventQueue&) = delete;
   EventQueue& operator=(const EventQueue&) = delete;
 
-  /// Schedules `fn` to run at absolute time `when`. `when` must not be in
-  /// the past relative to the last popped event (checked by Simulator).
+  /// Schedules `fn` to run at absolute time `when`. `when` must not be
+  /// earlier than the last fired event (checked by Simulator).
   EventHandle schedule(SimTime when, EventFn fn);
 
   /// Schedules a periodic series: first firing at `first`, then every
-  /// `period` after each firing (re-armed by rearm()). The handle cancels
-  /// the whole series.
+  /// `period` after each firing. The handle cancels the whole series.
   EventHandle schedule_periodic(SimTime first, SimTime period, EventFn fn);
 
   /// Moves a still-pending event to `when`, keeping its callback (the
   /// allocation-free form of cancel + re-schedule with the same lambda).
   /// The event is re-sequenced as if newly scheduled. Returns false — and
-  /// does nothing — if the handle is empty, fired or cancelled.
+  /// does nothing — if the handle is empty, fired or cancelled. A periodic
+  /// series that reschedules itself from its own callback is re-armed one
+  /// period after the firing regardless.
   bool reschedule(const EventHandle& h, SimTime when);
 
-  /// True if no runnable (non-cancelled) event remains. May drop stale
-  /// entries to answer.
-  bool empty();
+  /// True if no event is pending. During a periodic callback the firing
+  /// series itself is still pending.
+  bool empty() const { return heap_.empty(); }
 
-  /// Time of the earliest runnable event. Requires !empty().
-  SimTime next_time();
+  /// Time of the earliest pending event. Requires !empty().
+  SimTime next_time() const {
+    assert(!heap_.empty());
+    return heap_.front().time;
+  }
 
-  /// Removes and returns the earliest runnable event. Requires !empty().
-  /// For periodic events, pass the fired Popped back to rearm() to keep
-  /// the series alive (the Simulator run loop does this).
-  struct Popped {
-    SimTime time;
-    EventFn fn;
-    std::uint32_t slot = 0;
-    std::uint32_t gen = 0;
-    bool periodic = false;
-  };
-  Popped pop();
+  /// Fires the earliest event if it is due no later than `deadline`: sets
+  /// `*clock` to its time, then runs its callback in place. A one-shot
+  /// event leaves the heap before its callback runs and its slot is freed
+  /// after; a periodic series stays at the root while its callback runs
+  /// (everything the callback schedules orders after it) and is then
+  /// re-keyed one period later. Returns false if nothing was due.
+  bool fire_next(SimTime deadline, SimTime* clock);
 
-  /// Fused empty() + next_time() + pop(): pops the earliest runnable event
-  /// into `out` if one exists and fires no later than `deadline`. One
-  /// settle of the heap head where the three-call form does three — this
-  /// is the run loop's per-event path.
-  bool pop_next(SimTime deadline, Popped* out);
-
-  /// Re-arms a popped periodic event one period after its firing time —
-  /// unless the series was cancelled from inside its own callback. No-op
-  /// for one-shot events.
-  void rearm(Popped&& popped);
-
-  /// Number of entries in the heap, including not-yet-collected stale
-  /// ones. For tests and introspection only.
+  /// Number of entries in the heap — exactly the pending events. For
+  /// tests and introspection only.
   std::size_t raw_size() const { return heap_.size(); }
-  /// Stale (cancelled/rescheduled) entries still occupying the heap.
-  std::size_t stale_entries() const { return stale_; }
   /// Total slots in the slab (live + free). For tests.
-  std::size_t slab_size() const { return slots_.size(); }
+  std::size_t slab_size() const { return meta_.size(); }
 
  private:
   friend class EventHandle;
 
   bool slot_matches(std::uint32_t slot, std::uint32_t gen) const {
-    return slot < slots_.size() && slots_[slot].gen == gen;
+    return slot < meta_.size() && meta_[slot].gen == gen;
+  }
+  EventFn& fn(std::uint32_t slot) {
+    return chunks_[slot >> kChunkShift][slot & ((1u << kChunkShift) - 1)];
   }
   void cancel_slot(std::uint32_t slot, std::uint32_t gen);
 
   std::uint32_t alloc_slot();
+  /// Returns a dead slot's callback and index to the pool.
+  void release(std::uint32_t slot);
   EventHandle arm(SimTime when, SimTime period, EventFn&& fn);
 
-  bool is_stale(const HeapEntry& e) const {
-    const Slot& s = slots_[e.slot];
-    return s.gen != e.gen || s.seq != e.seq;
-  }
-
   /// Heap ops on the 4-ary implicit heap (children of i: 4i+1 .. 4i+4).
+  /// Every move records the entry's new position in its slot.
   static bool before(const HeapEntry& a, const HeapEntry& b) {
     if (a.time != b.time) return a.time < b.time;
     return a.seq < b.seq;
   }
-  void push_entry(const HeapEntry& e);
-  void pop_root();
-  /// Pops the (already settled, live) root into `out`.
-  void take_root(Popped* out);
-  void sift_down(std::size_t i);
-  /// Drops stale entries off the head so the root is live (or heap empty).
-  void settle_head();
-  /// Removes every stale entry and re-heapifies. Called when stale entries
-  /// outnumber live ones.
-  void compact();
+  void place(std::size_t i, const HeapEntry& e) {
+    heap_[i] = e;
+    meta_[e.slot].pos = static_cast<std::uint32_t>(i);
+  }
+  void sift_up(std::size_t i, HeapEntry e);
+  void sift_down(std::size_t i, HeapEntry e);
+  /// Stores `e` at position i and restores heap order in either direction.
+  void update(std::size_t i, const HeapEntry& e);
+  void remove_at(std::size_t i);
 
   Arena* arena_ = nullptr;
-  std::vector<Slot> slots_;
+  std::vector<std::unique_ptr<EventFn[]>> chunks_;
+  std::vector<Meta> meta_;
   std::vector<HeapEntry> heap_;
   std::vector<std::uint32_t> free_;
   std::uint64_t next_seq_ = 0;
-  std::size_t stale_ = 0;
+  std::uint32_t firing_ = kNoSlot;  // slot whose callback is running
 };
 
 }  // namespace vafs::sim

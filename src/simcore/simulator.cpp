@@ -25,40 +25,28 @@ bool Simulator::reschedule(EventHandle& handle, SimTime when) {
   return queue_.reschedule(handle, when);
 }
 
-void Simulator::fire(EventQueue::Popped&& ev) {
-  now_ = ev.time;
-  ev.fn();
-  queue_.rearm(std::move(ev));  // keeps periodic series alive; no-op otherwise
-  ++events_executed_;
-}
-
 std::uint64_t Simulator::run(std::uint64_t limit) {
   std::uint64_t fired = 0;
-  EventQueue::Popped ev;
-  while (fired < limit && queue_.pop_next(SimTime::max(), &ev)) {
-    assert(ev.time >= now_);
-    fire(std::move(ev));
+  while (fired < limit && queue_.fire_next(SimTime::max(), &now_)) {
     ++fired;
+    ++events_executed_;
   }
   return fired;
 }
 
 std::uint64_t Simulator::run_until(SimTime deadline) {
   std::uint64_t fired = 0;
-  EventQueue::Popped ev;
-  while (queue_.pop_next(deadline, &ev)) {
-    assert(ev.time >= now_);
-    fire(std::move(ev));
+  while (queue_.fire_next(deadline, &now_)) {
     ++fired;
+    ++events_executed_;
   }
   if (now_ < deadline) now_ = deadline;
   return fired;
 }
 
 bool Simulator::step() {
-  EventQueue::Popped ev;
-  if (!queue_.pop_next(SimTime::max(), &ev)) return false;
-  fire(std::move(ev));
+  if (!queue_.fire_next(SimTime::max(), &now_)) return false;
+  ++events_executed_;
   return true;
 }
 

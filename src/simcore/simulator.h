@@ -52,19 +52,22 @@ class Simulator {
   bool step();
 
   /// True if no runnable events remain.
-  bool idle() { return queue_.empty(); }
+  bool idle() const { return queue_.empty(); }
 
   /// Absolute time of the earliest runnable event, or SimTime::max() when
-  /// none remain. May lazily drop cancelled entries to answer; does not
-  /// advance the clock or fire anything.
-  SimTime next_event_time() { return queue_.empty() ? SimTime::max() : queue_.next_time(); }
+  /// none remain. Does not advance the clock or fire anything. Not for use
+  /// inside a callback: a firing periodic series is still the head then.
+  SimTime next_event_time() const {
+    return queue_.empty() ? SimTime::max() : queue_.next_time();
+  }
+
+  /// The queue, read-only (tests and introspection).
+  const EventQueue& queue() const { return queue_; }
 
   /// Total events executed over the simulator's lifetime.
   std::uint64_t events_executed() const { return events_executed_; }
 
  private:
-  void fire(EventQueue::Popped&& ev);
-
   SimTime now_ = SimTime::zero();
   EventQueue queue_;
   std::uint64_t events_executed_ = 0;

@@ -4,6 +4,8 @@
 // baselines without giving up QoE, and runs are deterministic.
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "core/session.h"
 
 namespace vafs::core {
@@ -45,6 +47,47 @@ TEST(SessionSmoke, VafsCompletesCleanly) {
   EXPECT_GT(r.vafs_setspeed_writes, 2u);
   EXPECT_GT(r.vafs_decode_mape, 0.0);
   EXPECT_LT(r.vafs_decode_mape, 0.5);
+}
+
+// Microsecond tunables must keep now() + value inside SimTime: a larger
+// value used to wrap to a first tick before now() (the clock then ran
+// backwards), so the sysfs store answers EINVAL and the session fails.
+void expect_us_tunable_bounded(const std::string& governor, const std::string& path) {
+  SessionConfig config = base_config();
+  config.media_duration = sim::SimTime::seconds(10);
+  config.governor = governor;
+  for (const char* value : {"9300000000000000000", "9223372036854775808", "9223372036854775807"}) {
+    config.governor_tunables = {{path, value}};
+    try {
+      run_session(config);
+      ADD_FAILURE() << path << " = " << value << " was accepted";
+    } catch (const SessionError& e) {
+      EXPECT_NE(std::string(e.what()).find("EINVAL"), std::string::npos) << e.what();
+    }
+  }
+  // The largest value now() + value still represents is accepted.
+  config.governor_tunables = {{path, "9223372036854775806"}};
+  EXPECT_NO_THROW(run_session(config)) << path;
+}
+
+TEST(SessionSmoke, OndemandSamplingRateOverflowIsASessionError) {
+  expect_us_tunable_bounded("ondemand", "ondemand/sampling_rate");
+}
+
+TEST(SessionSmoke, ConservativeSamplingRateOverflowIsASessionError) {
+  expect_us_tunable_bounded("conservative", "conservative/sampling_rate");
+}
+
+TEST(SessionSmoke, InteractiveTimerRateOverflowIsASessionError) {
+  expect_us_tunable_bounded("interactive", "interactive/timer_rate");
+}
+
+TEST(SessionSmoke, InteractiveMinSampleTimeOverflowIsASessionError) {
+  expect_us_tunable_bounded("interactive", "interactive/min_sample_time");
+}
+
+TEST(SessionSmoke, SchedutilRateLimitOverflowIsASessionError) {
+  expect_us_tunable_bounded("schedutil", "schedutil/rate_limit_us");
 }
 
 // A config the decision core cannot run fails the session with a

@@ -4,10 +4,17 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <functional>
 #include <map>
+#include <memory>
+#include <stdexcept>
+#include <string>
 #include <utility>
 #include <vector>
 
+#include "core/decision_core.h"
+#include "core/session.h"
+#include "obs/trace.h"
 #include "simcore/event_queue.h"
 #include "simcore/rng.h"
 #include "simcore/simulator.h"
@@ -56,13 +63,20 @@ TEST(SimTime, ToStringPicksUnits) {
 
 // ------------------------------------------------------------ EventQueue
 
+/// Fires every pending event in order (the run loop's one-call path).
+void drain(EventQueue& q) {
+  SimTime clock;
+  while (q.fire_next(SimTime::max(), &clock)) {
+  }
+}
+
 TEST(EventQueue, OrdersByTime) {
   EventQueue q;
   std::vector<int> fired;
   q.schedule(SimTime::millis(30), [&] { fired.push_back(3); });
   q.schedule(SimTime::millis(10), [&] { fired.push_back(1); });
   q.schedule(SimTime::millis(20), [&] { fired.push_back(2); });
-  while (!q.empty()) q.pop().fn();
+  drain(q);
   EXPECT_EQ(fired, (std::vector<int>{1, 2, 3}));
 }
 
@@ -72,7 +86,7 @@ TEST(EventQueue, SimultaneousEventsKeepInsertionOrder) {
   for (int i = 0; i < 8; ++i) {
     q.schedule(SimTime::millis(5), [&fired, i] { fired.push_back(i); });
   }
-  while (!q.empty()) q.pop().fn();
+  drain(q);
   EXPECT_EQ(fired, (std::vector<int>{0, 1, 2, 3, 4, 5, 6, 7}));
 }
 
@@ -84,6 +98,8 @@ TEST(EventQueue, CancelPreventsExecution) {
   h.cancel();
   EXPECT_FALSE(h.pending());
   EXPECT_TRUE(q.empty());
+  EXPECT_EQ(q.raw_size(), 0u);  // removed in place, no stale entry left
+  drain(q);
   EXPECT_FALSE(ran);
 }
 
@@ -103,42 +119,45 @@ TEST(EventQueue, CancelIsIdempotentAndSafeOnEmptyHandles) {
 TEST(EventQueue, HandleNotPendingAfterFire) {
   EventQueue q;
   EventHandle h = q.schedule(SimTime::millis(1), [] {});
-  q.pop().fn();
+  drain(q);
   EXPECT_FALSE(h.pending());
 }
 
 TEST(EventQueue, NextTimeSkipsCancelled) {
   EventQueue q;
+  const EventQueue& view = q;  // empty() and next_time() only read the root
   EventHandle h = q.schedule(SimTime::millis(1), [] {});
   q.schedule(SimTime::millis(9), [] {});
   h.cancel();
-  EXPECT_EQ(q.next_time(), SimTime::millis(9));
+  EXPECT_FALSE(view.empty());
+  EXPECT_EQ(view.next_time(), SimTime::millis(9));
 }
 
-TEST(EventQueue, PopNextRespectsDeadlineAndSettlesStaleHead) {
+TEST(EventQueue, FireNextRespectsDeadlineAndSkipsCancelledHead) {
   EventQueue q;
-  EventQueue::Popped out;
-  EXPECT_FALSE(q.pop_next(SimTime::max(), &out));  // empty queue
+  SimTime clock;
+  EXPECT_FALSE(q.fire_next(SimTime::max(), &clock));  // empty queue
 
   int fired = 0;
   q.schedule(SimTime::millis(10), [&] { ++fired; });
   EventHandle h = q.schedule(SimTime::millis(5), [&] { fired += 100; });
-  h.cancel();  // the heap head is now stale; pop_next must skip past it
+  h.cancel();  // the head is removed in place; fire_next must not see it
 
-  EXPECT_FALSE(q.pop_next(SimTime::millis(9), &out));  // next live is at 10
-  ASSERT_TRUE(q.pop_next(SimTime::millis(10), &out));
-  EXPECT_EQ(out.time, SimTime::millis(10));
-  out.fn();
+  EXPECT_FALSE(q.fire_next(SimTime::millis(9), &clock));  // next live is at 10
+  EXPECT_EQ(clock, SimTime::zero());                       // untouched when nothing fires
+  ASSERT_TRUE(q.fire_next(SimTime::millis(10), &clock));
+  EXPECT_EQ(clock, SimTime::millis(10));
   EXPECT_EQ(fired, 1);
-  EXPECT_FALSE(q.pop_next(SimTime::max(), &out));
+  EXPECT_FALSE(q.fire_next(SimTime::max(), &clock));
 }
 
 TEST(EventQueue, StaleHandleDoesNotAliasReusedSlot) {
   EventQueue q;
+  SimTime clock;
   int first = 0;
   int second = 0;
   EventHandle old = q.schedule(SimTime::millis(1), [&] { ++first; });
-  q.pop().fn();  // frees old's slot (and bumps its generation)
+  ASSERT_TRUE(q.fire_next(SimTime::max(), &clock));  // frees old's slot (and bumps its generation)
   EXPECT_EQ(first, 1);
 
   // The freed slot is reused for the next event; the stale handle now
@@ -150,72 +169,192 @@ TEST(EventQueue, StaleHandleDoesNotAliasReusedSlot) {
   old.cancel();  // generation mismatch: must not touch the new event
   EXPECT_TRUE(fresh.pending());
   ASSERT_FALSE(q.empty());
-  q.pop().fn();
+  drain(q);
   EXPECT_EQ(second, 1);
 }
 
 TEST(EventQueue, ChurnMatchesReferenceModelAcrossGenerations) {
-  // Randomized schedule/cancel/reschedule churn, cross-checked against a
-  // map ordered by (time, arming order) — the queue's documented order.
-  // Three full drain cycles recycle every slot repeatedly, exercising
-  // generation bumps, handle invalidation, lazy deletion and compaction.
-  EventQueue q;
+  // Randomized schedule/cancel/reschedule churn of one-shot events and
+  // periodic series, from outside and from inside callbacks (including a
+  // series cancelling or rescheduling itself and events scheduled at
+  // now()), fired through Simulator and cross-checked at every firing
+  // against a map ordered by (time, arming order) — the queue's documented
+  // order. Three cycles recycle slots repeatedly, exercising generation
+  // bumps, handle invalidation, in-place removal and re-keying.
+  Simulator s;
   Rng rng(2024);
-  int next_id = 0;
-  std::uint64_t order = 0;  // monotone arming counter, bumped like seq
+  using Key = std::pair<std::int64_t, std::uint64_t>;
+  struct Ev {
+    EventHandle handle;
+    Key key;
+    SimTime period;
+  };
+  std::vector<Ev> evs;      // by id
+  std::vector<int> live;    // ids still pending
+  std::map<Key, int> expected;
+  std::uint64_t order = 0;  // bumped wherever the queue draws a sequence
+  int budget = 0;           // in-callback operations left this cycle
+  std::uint64_t fired = 0;
+  std::map<std::string, int> coverage;
 
-  for (int cycle = 0; cycle < 3; ++cycle) {
-    struct Live {
-      EventHandle handle;
-      std::pair<std::int64_t, std::uint64_t> key;
-      int id;
-    };
-    std::vector<Live> live;
-    std::map<std::pair<std::int64_t, std::uint64_t>, int> expected;
-    std::vector<int> fired;
+  const auto drop_live = [&](int id) {
+    live.erase(std::find(live.begin(), live.end(), id));
+    expected.erase(evs[static_cast<std::size_t>(id)].key);
+  };
+  const auto rekey = [&](int id, SimTime when) {
+    Ev& e = evs[static_cast<std::size_t>(id)];
+    expected.erase(e.key);
+    e.key = {when.as_micros(), order++};
+    expected.emplace(e.key, id);
+  };
 
-    auto arm = [&](std::int64_t ms) {
-      const int id = next_id++;
-      EventHandle h = q.schedule(SimTime::millis(ms), [&fired, id] { fired.push_back(id); });
-      live.push_back({h, {ms, order}, id});
-      expected.emplace(std::make_pair(ms, order), id);
-      ++order;
-    };
-
-    for (int op = 0; op < 600; ++op) {
-      // Few distinct times on purpose: ties are the interesting case.
-      const std::int64_t ms = rng.uniform_int(1, 40);
-      const double dice = rng.uniform();
-      if (live.empty() || dice < 0.5) {
-        arm(ms);
+  std::function<void(int)> on_fire;
+  const auto arm = [&](SimTime when, SimTime period) {
+    const int id = static_cast<int>(evs.size());
+    evs.push_back({EventHandle(), {}, period});
+    if (period.is_zero()) {
+      evs.back().handle = s.at(when, [&on_fire, id] { on_fire(id); });
+    } else {
+      // Simulator::every fires first one period from now.
+      when = s.now() + period;
+      evs.back().handle = s.every(period, [&on_fire, id] { on_fire(id); });
+    }
+    rekey(id, when);
+    live.push_back(id);
+  };
+  // One random operation; `lo_ms` = 0 from inside callbacks, so events
+  // land at now() too (ties with the firing event are the sharp case).
+  const auto random_op = [&](std::int64_t lo_ms, std::int64_t hi_ms, const char* where) {
+    const SimTime when = s.now() + SimTime::millis(rng.uniform_int(lo_ms, hi_ms));
+    const double dice = rng.uniform();
+    if (live.empty() || dice < 0.45) {
+      arm(when, SimTime::zero());
+      if (when == s.now()) ++coverage["schedule at now"];
+    } else if (dice < 0.5) {
+      arm(when, SimTime::millis(rng.uniform_int(1, 8)));
+    } else {
+      const int id = live[static_cast<std::size_t>(
+          rng.uniform_int(0, static_cast<std::int64_t>(live.size()) - 1))];
+      Ev& e = evs[static_cast<std::size_t>(id)];
+      if (dice < 0.75) {
+        e.handle.cancel();
+        drop_live(id);
+        ++coverage[std::string("cancel ") + where];
       } else {
-        const std::size_t pick =
-            static_cast<std::size_t>(rng.uniform_int(0, static_cast<std::int64_t>(live.size()) - 1));
-        if (dice < 0.75) {  // cancel
-          live[pick].handle.cancel();
-          expected.erase(live[pick].key);
-          live.erase(live.begin() + static_cast<std::ptrdiff_t>(pick));
-        } else {  // reschedule: keeps the callback, re-sequences the event
-          ASSERT_TRUE(q.reschedule(live[pick].handle, SimTime::millis(ms)));
-          expected.erase(live[pick].key);
-          live[pick].key = {ms, order};
-          expected.emplace(std::make_pair(ms, order), live[pick].id);
-          ++order;
-        }
+        ASSERT_TRUE(s.reschedule(e.handle, when));
+        rekey(id, when);
+        ++coverage[std::string("reschedule ") + where];
       }
     }
-    EXPECT_LE(q.stale_entries(), q.raw_size());
+  };
 
-    // Drain through the run-loop path and compare the full firing order.
-    EventQueue::Popped out;
-    while (q.pop_next(SimTime::max(), &out)) out.fn();
-    std::vector<int> want;
-    want.reserve(expected.size());
-    for (const auto& [key, id] : expected) want.push_back(id);
-    EXPECT_EQ(fired, want);
-    EXPECT_TRUE(q.empty());
+  on_fire = [&](int id) {
+    ++fired;
+    ASSERT_FALSE(expected.empty());
+    const auto head = expected.begin();
+    EXPECT_EQ(head->second, id) << "fired out of order at " << s.now().to_string();
+    EXPECT_EQ(head->first.first, s.now().as_micros());
+    expected.erase(head);
+    Ev& self = evs[static_cast<std::size_t>(id)];
+    const bool periodic = !self.period.is_zero();
+    // A one-shot is no longer pending inside its own callback; a series is.
+    EXPECT_EQ(self.handle.pending(), periodic);
+    if (!periodic) live.erase(std::find(live.begin(), live.end(), id));
 
-    for (const Live& l : live) EXPECT_FALSE(l.handle.pending());
+    if (budget > 0) {
+      const auto ops = rng.uniform_int(0, 2);
+      for (std::int64_t k = 0; k < ops && budget > 0; ++k, --budget) random_op(0, 6, "inside");
+      if (periodic && std::find(live.begin(), live.end(), id) != live.end()) {
+        const double dice = rng.uniform();
+        if (dice < 0.05) {
+          evs[static_cast<std::size_t>(id)].handle.cancel();
+          drop_live(id);
+          ++coverage["series cancels itself"];
+        } else if (dice < 0.1) {
+          const SimTime when = s.now() + SimTime::millis(rng.uniform_int(0, 20));
+          ASSERT_TRUE(s.reschedule(evs[static_cast<std::size_t>(id)].handle, when));
+          rekey(id, when);
+          ++coverage["series reschedules itself"];
+        }
+      }
+    } else if (periodic && std::find(live.begin(), live.end(), id) != live.end()) {
+      evs[static_cast<std::size_t>(id)].handle.cancel();  // wind down
+      drop_live(id);
+    }
+
+    const bool rearms = periodic && std::find(live.begin(), live.end(), id) != live.end();
+    // The queue re-keys a live series right after this returns, overriding
+    // any reschedule above; until then it is one heap entry at the root.
+    if (rearms) expected.erase(evs[static_cast<std::size_t>(id)].key);
+    EXPECT_EQ(s.queue().raw_size(), expected.size() + (rearms ? 1 : 0));
+    if (rearms) rekey(id, s.now() + evs[static_cast<std::size_t>(id)].period);
+  };
+
+  for (int cycle = 0; cycle < 3; ++cycle) {
+    for (int op = 0; op < 600; ++op) {
+      // Few distinct times on purpose: ties are the interesting case.
+      random_op(1, 40, "outside");
+      ASSERT_EQ(s.queue().raw_size(), expected.size());
+    }
+    budget = 1500;
+    // Bounded, so a model mismatch that keeps a series alive fails here.
+    ASSERT_LT(s.run(1'000'000), 1'000'000u);
+    EXPECT_TRUE(expected.empty());
+    EXPECT_TRUE(live.empty());
+    EXPECT_TRUE(s.idle());
+    EXPECT_EQ(s.queue().raw_size(), 0u);
+    for (const Ev& e : evs) EXPECT_FALSE(e.handle.pending());
+  }
+  EXPECT_EQ(fired, s.events_executed());
+  for (const char* what :
+       {"schedule at now", "cancel outside", "reschedule outside", "cancel inside",
+        "reschedule inside", "series cancels itself", "series reschedules itself"}) {
+    EXPECT_GT(coverage[what], 0) << what;
+  }
+}
+
+TEST(EventQueue, ThrowingCallbackLeavesTheArenaReusable) {
+  // A session whose callback throws (a SessionError from a decision
+  // backend, say) abandons its queue mid-fire; the next simulator on the
+  // same arena must run exactly as on a fresh one.
+  const auto scenario = [](Simulator& s, std::vector<std::int64_t>* log) {
+    EventHandle moved = s.at(SimTime::millis(9), [&s, log] { log->push_back(-s.now().as_micros()); });
+    s.every(SimTime::millis(2), [&s, log] { log->push_back(s.now().as_micros()); });
+    s.at(SimTime::millis(3), [&s, &moved] { s.reschedule(moved, SimTime::millis(4)); });
+    s.run_until(SimTime::millis(11));
+  };
+  EventQueue::Arena fresh_arena;
+  std::vector<std::int64_t> want;
+  {
+    Simulator s(&fresh_arena);
+    scenario(s, &want);
+  }
+
+  EventQueue::Arena arena;
+  enum Mode { kOneShot, kSeries, kSeriesCancelled };
+  for (const Mode mode : {kOneShot, kSeries, kSeriesCancelled}) {
+    {
+      Simulator s(&arena);
+      s.at(SimTime::millis(1), [] {});
+      s.at(SimTime::millis(5), [] {});
+      EventHandle h;
+      const auto boom = [&s, &h, mode] {
+        s.after(SimTime::zero(), [] {});  // still pending when the queue dies
+        if (mode == kSeriesCancelled) h.cancel();  // its release waits for the return
+        throw std::runtime_error("boom");
+      };
+      h = mode == kOneShot ? s.at(SimTime::millis(2), boom) : s.every(SimTime::millis(2), boom);
+      EXPECT_THROW(s.run(), std::runtime_error);
+      EXPECT_EQ(s.now(), SimTime::millis(2));
+      EXPECT_EQ(h.pending(), mode == kSeries);
+    }
+    std::vector<std::int64_t> got;
+    {
+      Simulator s(&arena);
+      scenario(s, &got);
+      EXPECT_EQ(s.queue().slab_size(), 3u);  // the abandoned slots were reset
+    }
+    EXPECT_EQ(got, want) << "mode " << mode;
   }
 }
 
@@ -308,6 +447,115 @@ TEST(Simulator, RunWithLimitStopsEarly) {
   EXPECT_EQ(s.run(4), 4u);
   EXPECT_EQ(count, 4);
   EXPECT_EQ(s.events_executed(), 4u);
+}
+
+TEST(Simulator, PendingInsideCallbacks) {
+  Simulator s;
+  EventHandle once;
+  EventHandle series;
+  int once_fired = 0;
+  int series_fired = 0;
+  once = s.at(SimTime::millis(1), [&] {
+    ++once_fired;
+    EXPECT_FALSE(once.pending());  // a one-shot dies as it starts firing
+    EXPECT_FALSE(s.reschedule(once, SimTime::millis(2)));
+    once.cancel();  // no-op
+  });
+  series = s.every(SimTime::millis(1), [&] {
+    ++series_fired;
+    EXPECT_TRUE(series.pending());  // a series stays pending while it fires
+    if (series_fired == 3) {
+      series.cancel();
+      EXPECT_FALSE(series.pending());
+    }
+  });
+  s.run();
+  EXPECT_EQ(once_fired, 1);
+  EXPECT_EQ(series_fired, 3);
+  EXPECT_FALSE(once.pending());
+  EXPECT_FALSE(series.pending());
+  EXPECT_TRUE(s.idle());
+  // Both slots went back to the pool, the self-cancelled series' too.
+  s.after(SimTime::millis(1), [] {});
+  s.after(SimTime::millis(1), [] {});
+  EXPECT_EQ(s.queue().slab_size(), 2u);
+}
+
+TEST(Simulator, PeriodicRearmOverridesItsOwnReschedule) {
+  Simulator s;
+  std::vector<std::int64_t> times;
+  EventHandle h;
+  h = s.every(SimTime::millis(10), [&] {
+    times.push_back(s.now().as_micros());
+    EXPECT_TRUE(s.reschedule(h, s.now() + SimTime::millis(3)));
+  });
+  // A one-shot at the series' instant, scheduled after it, fires after
+  // it, and one that it schedules at now() fires right after that.
+  s.at(SimTime::millis(10), [&] {
+    times.push_back(-1);
+    s.at(s.now(), [&] { times.push_back(-2); });
+  });
+  s.run_until(SimTime::millis(35));
+  EXPECT_EQ(times, (std::vector<std::int64_t>{10'000, -1, -2, 20'000, 30'000}));
+  h.cancel();
+  EXPECT_TRUE(s.idle());
+}
+
+// ----------------------------------------------------------- SessionArena
+
+/// Decides in process, but throws a SessionError on the n-th decision —
+/// what a remote backend does when its daemon goes away mid-session.
+class FailingBackend final : public core::DecisionBackend {
+ public:
+  explicit FailingBackend(int fail_at) : fail_at_(fail_at) {}
+  std::unique_ptr<core::DecisionStream> open(const core::DecisionStreamInfo& info) override {
+    struct Stream final : core::DecisionStream {
+      std::unique_ptr<core::DecisionStream> inner;
+      int left;
+      core::DecisionResponse decide(const core::DecisionRequest& request) override {
+        if (--left == 0) throw core::SessionError("decision backend lost");
+        return inner->decide(request);
+      }
+    };
+    auto stream = std::make_unique<Stream>();
+    stream->inner = local_.open(info);
+    stream->left = fail_at_;
+    return stream;
+  }
+
+ private:
+  core::LocalDecisionBackend local_;
+  int fail_at_;
+};
+
+TEST(SessionArena, SessionAfterAThrowingCallbackIsBitIdenticalToAFreshOne) {
+  core::SessionConfig config;
+  config.governor = "vafs";
+  config.media_duration = SimTime::seconds(20);
+  config.seed = 31;
+
+  const auto traced = [&](core::SessionArena* arena) {
+    obs::Tracer tracer(obs::Tracer::Config{0});
+    core::SessionHooks hooks;
+    hooks.tracer = &tracer;
+    return core::run_session(config, hooks, arena);
+  };
+  core::SessionArena fresh;
+  const core::SessionResult want = traced(&fresh);
+  ASSERT_TRUE(want.finished);
+
+  core::SessionArena arena;
+  FailingBackend failing(50);
+  core::SessionHooks hooks;
+  hooks.decision_backend = &failing;
+  EXPECT_THROW(core::run_session(config, hooks, &arena), core::SessionError);
+
+  const core::SessionResult got = traced(&arena);
+  EXPECT_EQ(got.trace_digest, want.trace_digest);
+  EXPECT_EQ(got.trace_events, want.trace_events);
+  EXPECT_EQ(got.sim_events, want.sim_events);
+  EXPECT_EQ(got.energy.cpu_mj, want.energy.cpu_mj);
+  EXPECT_EQ(got.vafs_plans, want.vafs_plans);
 }
 
 // ------------------------------------------------------------------ Rng
