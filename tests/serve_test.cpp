@@ -824,6 +824,24 @@ class VafsdProcess {
     return -1;
   }
 
+  /// Waits (bounded) until every thread of the daemon has stopped; true
+  /// once the stop is reported.
+  bool wait_stopped(int timeout_ms = 5000) {
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::milliseconds(timeout_ms);
+    int status = 0;
+    while (std::chrono::steady_clock::now() < deadline) {
+      const pid_t r = waitpid(pid_, &status, WNOHANG | WUNTRACED);
+      if (r == pid_ && WIFSTOPPED(status)) return true;
+      if (r == pid_) {
+        reaped_ = true;
+        return false;
+      }
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    return false;
+  }
+
  private:
   std::string socket_path_;
   pid_t pid_ = -1;
@@ -911,8 +929,11 @@ TEST(VafsdLifecycle, SigkillWhileAwaitingAReplyFailsWithinTwoTicksAndReconnects)
     std::unique_ptr<core::DecisionStream> stream = backend.open(test_stream_info());
 
     // A stopped daemon cannot answer, so the decision below is still
-    // waiting (and ticking) when the SIGKILL lands.
+    // waiting (and ticking) when the SIGKILL lands. The request goes out
+    // only once the whole group has stopped: SIGSTOP wakes one thread,
+    // and a connection thread that has not stopped yet could still answer.
     ASSERT_EQ(kill(daemon.pid(), SIGSTOP), 0);
+    ASSERT_TRUE(daemon.wait_stopped()) << "vafsd did not stop";
     bool threw = false;
     std::chrono::steady_clock::time_point failed_at;
     std::thread waiter([&] {
