@@ -255,6 +255,12 @@ int main(int argc, char** argv) {
                 sstats.latency_p50_us, sstats.latency_p95_us, sstats.latency_p99_us,
                 static_cast<unsigned long long>(sstats.connections_accepted),
                 static_cast<unsigned long long>(sstats.streams_opened));
+    std::printf("serve: server waits: %llu spins (%llu ran out), %llu futex waits, "
+                "%llu thread moves\n",
+                static_cast<unsigned long long>(sstats.spins),
+                static_cast<unsigned long long>(sstats.spin_timeouts),
+                static_cast<unsigned long long>(sstats.futex_waits),
+                static_cast<unsigned long long>(sstats.thread_moves));
   }
 
   const bool tracing = fopts.trace;
@@ -290,6 +296,10 @@ int main(int argc, char** argv) {
       extra.set("server_decide_p50_us", sstats.latency_p50_us);
       extra.set("server_decide_p99_us", sstats.latency_p99_us);
       extra.set("server_requests", sstats.requests);
+      extra.set("server_spins", sstats.spins);
+      extra.set("server_spin_timeouts", sstats.spin_timeouts);
+      extra.set("server_futex_waits", sstats.futex_waits);
+      extra.set("server_thread_moves", sstats.thread_moves);
     }
     root.set("extra", std::move(extra));
     std::ofstream out(path, std::ios::trunc);

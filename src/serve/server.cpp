@@ -1,15 +1,15 @@
 #include "serve/server.h"
 
 #include <poll.h>
-#include <sched.h>
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <cerrno>
 #include <cstring>
 #include <exception>
+
+#include "serve/cpu_follower.h"
 
 namespace vafs::serve {
 namespace {
@@ -18,62 +18,6 @@ constexpr int kDrainGraceMs = 1000;  // max wait for a mid-frame peer at drain
 // Initial receive buffer. It grows to the largest frame a peer sends, so
 // idle memory stays small instead of kMaxPayload per connection.
 constexpr std::size_t kInitialRxBytes = 4096;
-
-// Connection-thread placement. A socket write wakes its reader with the
-// scheduler's "sync" hint, which keeps a client and its connection thread
-// on one CPU; a FUTEX_WAKE has no such hint, so the woken thread often
-// lands on another CPU and each round trip then pays two cross-CPU wakes.
-// The client writes the CPU it runs on into the ring header with every
-// request, and the connection thread moves itself there once that CPU
-// has differed from its own for kFollowAfter requests in a row. A move
-// after which the two shared a CPU for fewer than kMoveHolds requests
-// (one CPU idle: the scheduler keeps pulling one of the pair over to it)
-// doubles the streak needed, up to kFollowAfterMax, so a pair that will
-// not stay together is left apart instead of chased.
-constexpr int kFollowAfter = 4;
-constexpr int kFollowAfterMax = 4096;
-constexpr std::uint64_t kMoveHolds = 256;
-
-class CpuFollower {
- public:
-  CpuFollower() {
-    CPU_ZERO(&allowed_);
-    if (sched_getaffinity(0, sizeof allowed_, &allowed_) != 0) CPU_ZERO(&allowed_);
-  }
-
-  /// One request, written from `client_cpu` (a hint from shared memory:
-  /// anything outside this thread's CPU set is ignored). True if the
-  /// thread moved.
-  bool on_request(int client_cpu) {
-    if (client_cpu < 0 || client_cpu >= CPU_SETSIZE || !CPU_ISSET(client_cpu, &allowed_)) {
-      streak_ = 0;
-      return false;
-    }
-    if (client_cpu == sched_getcpu()) {
-      streak_ = 0;
-      ++held_;
-      return false;
-    }
-    if (++streak_ < need_) return false;
-    streak_ = 0;
-    need_ = held_ < kMoveHolds ? std::min(need_ * 2, kFollowAfterMax) : kFollowAfter;
-    held_ = 0;
-    // Pinning to the client's CPU migrates this thread there at once;
-    // restoring the full set leaves it there without keeping it pinned.
-    cpu_set_t one;
-    CPU_ZERO(&one);
-    CPU_SET(client_cpu, &one);
-    if (sched_setaffinity(0, sizeof one, &one) != 0) return false;
-    sched_setaffinity(0, sizeof allowed_, &allowed_);
-    return true;
-  }
-
- private:
-  cpu_set_t allowed_;
-  int streak_ = 0;
-  int need_ = kFollowAfter;
-  std::uint64_t held_ = 0;  // requests on the client's CPU since the last move
-};
 
 void append_error_frame(std::vector<std::uint8_t>& out, std::uint64_t stream_id,
                         WireError code) {
@@ -218,12 +162,14 @@ void Server::serve_connection(Connection& conn) {
   ShmStream& stream = *conn.stream;
   bool open = true;
   while (open) {
+    const std::uint64_t waits = stream.counters().futex_waits.load(std::memory_order_relaxed);
     const long n = stream.read_some(rx.data() + tail, rx.size() - tail);
     // Closed (mid-frame: the peer died mid-send) or an impossible index.
     if (n == 0 || n == ShmStream::kBroken) break;
     if (n > 0) {
       tail += static_cast<std::size_t>(n);
-      if (follower.on_request(stream.client_cpu())) bump(conn.moves);
+      const bool slept = stream.counters().futex_waits.load(std::memory_order_relaxed) != waits;
+      if (follower.on_request(stream.peer_cpu(), slept)) bump(conn.moves);
     }
 
     // Handle every complete frame before reading again.
@@ -403,43 +349,40 @@ bool Server::handle_frame(Connection& conn, StreamMap& streams, const FrameHeade
   return false;
 }
 
+void Server::add_counters(ServerStats& s, const Connection& conn) {
+  s.requests += conn.requests.load(std::memory_order_relaxed);
+  const ShmStream::Counters& t = conn.stream->counters();
+  s.futex_waits += t.futex_waits.load(std::memory_order_relaxed);
+  s.futex_wakes += t.futex_wakes.load(std::memory_order_relaxed);
+  s.socket_polls += t.polls.load(std::memory_order_relaxed);
+  s.spins += t.spins.load(std::memory_order_relaxed);
+  s.spin_timeouts += t.spin_timeouts.load(std::memory_order_relaxed);
+  s.thread_moves += conn.moves.load(std::memory_order_relaxed);
+}
+
 void Server::retire(const Connection& conn) {
   retired_latency_.merge(conn.latency);
-  retired_requests_ += conn.requests.load(std::memory_order_relaxed);
-  const ShmStream::Counters& t = conn.stream->counters();
-  retired_waits_ += t.futex_waits.load(std::memory_order_relaxed);
-  retired_wakes_ += t.futex_wakes.load(std::memory_order_relaxed);
-  retired_polls_ += t.polls.load(std::memory_order_relaxed);
-  retired_moves_ += conn.moves.load(std::memory_order_relaxed);
+  add_counters(retired_, conn);
 }
 
 ServerStats Server::stats() const {
   ServerStats s;
+  LatencyHistogram latency;
+  {
+    std::lock_guard<std::mutex> lock(connections_mutex_);
+    s = retired_;
+    latency.merge(retired_latency_);
+    for (const auto& c : connections_) {
+      latency.merge(c->latency);
+      add_counters(s, *c);
+    }
+  }
   s.connections_accepted = accepted_.load(std::memory_order_relaxed);
   s.connections_rejected = rejected_.load(std::memory_order_relaxed);
   s.connections_closed = closed_.load(std::memory_order_relaxed);
   s.streams_opened = streams_opened_.load(std::memory_order_relaxed);
   s.streams_closed = streams_closed_.load(std::memory_order_relaxed);
   s.protocol_errors = protocol_errors_.load(std::memory_order_relaxed);
-  LatencyHistogram latency;
-  {
-    std::lock_guard<std::mutex> lock(connections_mutex_);
-    latency.merge(retired_latency_);
-    s.requests = retired_requests_;
-    s.futex_waits = retired_waits_;
-    s.futex_wakes = retired_wakes_;
-    s.socket_polls = retired_polls_;
-    s.thread_moves = retired_moves_;
-    for (const auto& c : connections_) {
-      latency.merge(c->latency);
-      s.requests += c->requests.load(std::memory_order_relaxed);
-      const ShmStream::Counters& t = c->stream->counters();
-      s.futex_waits += t.futex_waits.load(std::memory_order_relaxed);
-      s.futex_wakes += t.futex_wakes.load(std::memory_order_relaxed);
-      s.socket_polls += t.polls.load(std::memory_order_relaxed);
-      s.thread_moves += c->moves.load(std::memory_order_relaxed);
-    }
-  }
   s.latency_p50_us = latency.percentile_us(0.50);
   s.latency_p95_us = latency.percentile_us(0.95);
   s.latency_p99_us = latency.percentile_us(0.99);

@@ -16,10 +16,12 @@
 // (serve/shm_stream.h); after the handshake the socket carries no frame
 // bytes, only liveness. A connection thread reads whatever its ring holds,
 // handles every complete frame in it, and writes all replies at once — a
-// steady-state decision is one futex wait and one futex wake on the
-// server and no socket call. Each wait lasts at most one tick, at which
-// the thread looks at the stop flag and the socket's liveness. A
-// connection thread also moves itself to the CPU its client runs on
+// steady-state decision is at most one futex wait and one futex wake on
+// the server and no socket call (none at all while the client runs on
+// another CPU and the wait ends in a spin). Each wait lasts at most one
+// tick, at which the thread looks at the stop flag and the socket's
+// liveness. A connection thread also moves itself to the CPU its client
+// runs on when it keeps sleeping for requests from another CPU
 // (server.cpp, "Connection-thread placement").
 //
 // Shutdown: stop() (or SIGTERM in vafsd) flips the stop flag. Connection
@@ -110,6 +112,8 @@ class Server {
   bool handle_frame(Connection& conn, StreamMap& streams, const FrameHeader& header,
                     const std::uint8_t* payload, std::vector<std::uint8_t>& body,
                     std::vector<std::uint8_t>& reply);
+  /// Adds a connection's request and transport counters to `s`.
+  static void add_counters(ServerStats& s, const Connection& conn);
   /// Adds a finished connection's counters to the retired totals. Caller
   /// holds connections_mutex_.
   void retire(const Connection& conn);
@@ -125,13 +129,10 @@ class Server {
   mutable std::mutex connections_mutex_;
   std::vector<std::unique_ptr<Connection>> connections_;
   std::uint64_t next_connection_id_ = 0;
-  // Totals of reaped connections (guarded by connections_mutex_).
+  // Totals of reaped connections (guarded by connections_mutex_); only
+  // the fields add_counters() fills are used.
   LatencyHistogram retired_latency_;
-  std::uint64_t retired_requests_ = 0;
-  std::uint64_t retired_waits_ = 0;
-  std::uint64_t retired_wakes_ = 0;
-  std::uint64_t retired_polls_ = 0;
-  std::uint64_t retired_moves_ = 0;
+  ServerStats retired_;
 
   // Aggregate counters (relaxed; exact once quiesced).
   std::atomic<std::uint64_t> accepted_{0};

@@ -12,6 +12,7 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <chrono>
 #include <cstring>
 #include <ctime>
 #include <new>
@@ -46,6 +47,16 @@ bool futex_wait_tick(std::atomic<std::uint32_t>& word) {
 
 void futex_wake_one(std::atomic<std::uint32_t>& word) {
   syscall(SYS_futex, futex_word(word), FUTEX_WAKE, 1, nullptr, nullptr, 0);
+}
+
+/// One step of a polling loop: tells the core this is a spin, which hands
+/// its execution resources to a sibling hyperthread meanwhile.
+void cpu_relax() {
+#if defined(__x86_64__) || defined(__i386__)
+  __builtin_ia32_pause();
+#elif defined(__aarch64__)
+  asm volatile("yield" ::: "memory");
+#endif
 }
 
 /// Copies `len` bytes out of a ring starting at byte index `at`.
@@ -129,7 +140,9 @@ ShmStream::ShmStream(int sock, ShmLayout* layout, int end)
       in_(&layout->ring[end]),
       out_(&layout->ring[1 - end]),
       in_data_(layout->data[end]),
-      out_data_(layout->data[1 - end]) {}
+      out_data_(layout->data[1 - end]) {
+  if (sched_getaffinity(0, sizeof allowed_, &allowed_) != 0) CPU_ZERO(&allowed_);
+}
 
 ShmStream::~ShmStream() { close(); }
 
@@ -212,7 +225,36 @@ void ShmStream::wake(std::atomic<std::uint32_t>& word) {
 }
 
 template <class Ready>
-bool ShmStream::sleep_until(std::atomic<std::uint32_t>& word, Ready ready) {
+bool ShmStream::spin_until(Ready ready) {
+  if (spin_skip_ > 0) {
+    --spin_skip_;
+    return false;
+  }
+  // The peer's CPU comes from shared memory: range-check it before it
+  // indexes a CPU set.
+  const int peer = peer_cpu();
+  if (peer < 0 || peer >= CPU_SETSIZE || !CPU_ISSET(peer, &allowed_) || peer == sched_getcpu()) {
+    return false;
+  }
+
+  bump(counters_.spins);
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::nanoseconds(kSpinNs);
+  do {
+    if (ready()) {
+      spin_backoff_ = 0;
+      return true;
+    }
+    cpu_relax();
+  } while (std::chrono::steady_clock::now() < deadline);
+  bump(counters_.spin_timeouts);
+  spin_backoff_ = std::clamp(spin_backoff_ * 2, 1, kMaxSpinSkip);
+  spin_skip_ = spin_backoff_;
+  return false;
+}
+
+template <class Ready>
+bool ShmStream::wait_until(std::atomic<std::uint32_t>& word, Ready ready) {
+  if (spin_until(ready)) return true;
   word.store(1, std::memory_order_seq_cst);
   if (ready()) {
     word.store(0, std::memory_order_relaxed);
@@ -249,7 +291,7 @@ bool ShmStream::write_all(const std::uint8_t* data, std::size_t len,
       return false;
     }
     if (used == kRingBytes) {
-      const bool room = sleep_until(out_->producer_waiting, [&] {
+      const bool room = wait_until(out_->producer_waiting, [&] {
         return out_tail_ - out_->head.load(std::memory_order_seq_cst) != kRingBytes;
       });
       if (!room && (peer_gone() || (stop != nullptr && stop->load(std::memory_order_acquire)))) {
@@ -259,9 +301,7 @@ bool ShmStream::write_all(const std::uint8_t* data, std::size_t len,
     }
     const std::size_t n = std::min<std::size_t>(len, kRingBytes - used);
     ring_copy_in(out_data_, out_tail_, data, n);
-    if (end_ == ShmLayout::kToClient) {
-      layout_->client_cpu.store(sched_getcpu(), std::memory_order_relaxed);
-    }
+    layout_->cpu[end_].store(sched_getcpu(), std::memory_order_relaxed);
     out_tail_ += n;
     out_->tail.store(out_tail_, std::memory_order_seq_cst);
     wake(out_->consumer_waiting);
@@ -293,7 +333,7 @@ long ShmStream::read_some(std::uint8_t* buf, std::size_t cap) {
       if (in_->tail.load(std::memory_order_seq_cst) == in_head_) return 0;
       continue;
     }
-    const bool ready = sleep_until(in_->consumer_waiting, [&] {
+    const bool ready = wait_until(in_->consumer_waiting, [&] {
       return in_->tail.load(std::memory_order_seq_cst) != in_head_ || peer_closed();
     });
     if (!ready) return peer_gone() ? 0 : kTick;

@@ -21,14 +21,30 @@
 // a FUTEX_WAKE only if it is set. The publish and the read of the peer's
 // word are seq_cst, as are the waiter's flag store and its re-check (the
 // Dekker pattern), so a wake is never lost and never made for a peer that
-// is awake. Nothing spins.
+// is awake.
+//
+// Spin, then sleep: each end publishes the CPU it writes from. Before it
+// sets its waiting word, a side looks at the CPU its peer last wrote from.
+// Only if that CPU is valid, in the CPU set of the thread that set this
+// end up, and not the one this thread runs on now — so the peer is most
+// likely running there, the rule of an adaptive mutex — does the side
+// poll the ring for up to kSpinNs before it goes on to the sleep above.
+// A pair that shares a CPU sleeps at once: a spin there would burn the
+// time its peer needs. A spin that runs out its budget doubles how many
+// of the following waits sleep at once (up to kMaxSpinSkip); one that
+// succeeds resets that. So a preempted peer, or a peer that lies about
+// its CPU, costs bounded CPU.
 //
 // Trust: the peer can write the whole mapping. Each side keeps private
 // copies of the indices it owns and never reads them back; every peer
 // index it reads is checked (tail - head <= kRingBytes) before use, and
 // bytes are copied out of the ring into the caller's buffer before anyone
-// decodes them. An impossible index breaks the stream, nothing more.
+// decodes them. An impossible index breaks the stream, nothing more. The
+// peer's CPU is range-checked before it indexes a CPU set; a false one
+// can only cost this side spins within its back-off.
 #pragma once
+
+#include <sched.h>
 
 #include <atomic>
 #include <cstddef>
@@ -43,7 +59,13 @@ inline constexpr int kTickMs = 50;
 /// Bytes in each ring (a power of two). Larger frames stream through.
 inline constexpr std::size_t kRingBytes = 16 * 1024;
 inline constexpr std::uint32_t kShmMagic = 0x52534656;  // "VFSR", little-endian
-inline constexpr std::uint32_t kShmVersion = 1;
+inline constexpr std::uint32_t kShmVersion = 2;
+/// Longest a waiting side polls its ring before it sleeps: about what the
+/// sleep costs instead — a futex wake that reaches a thread asleep on
+/// another CPU — so a spin never wastes much more than it can save.
+inline constexpr std::int64_t kSpinNs = 10'000;
+/// Most waits that sleep at once after spins that ran out their budget.
+inline constexpr int kMaxSpinSkip = 64;
 
 /// One direction's indices and waiting words. Indices count bytes ever
 /// written (tail) and read (head); a byte's slot is its index modulo
@@ -67,9 +89,9 @@ struct ShmLayout {
   /// Per end: set once that end writes no more (its peer then reads 0
   /// after draining).
   alignas(64) std::atomic<std::uint32_t> closed[2] = {};
-  /// The CPU the client last wrote from: a placement hint for the
-  /// daemon's connection thread, which trusts it no further than that.
-  std::atomic<std::int32_t> client_cpu{-1};
+  /// Per end: the CPU it last wrote from. A hint for the peer's spin rule
+  /// and the daemon's thread placement, trusted no further than that.
+  std::atomic<std::int32_t> cpu[2] = {-1, -1};
   ShmRing ring[2];
   alignas(4096) std::uint8_t data[2][kRingBytes];
 };
@@ -90,6 +112,10 @@ class ShmStream {
     /// Waits that timed out although the peer had already published: a
     /// lost wake. Always 0 unless the wake protocol is broken.
     std::atomic<std::uint64_t> late_wakes{0};
+    /// Waits that polled the ring because the peer ran on another CPU, and
+    /// those of them that ran out kSpinNs and went on to sleep.
+    std::atomic<std::uint64_t> spins{0};
+    std::atomic<std::uint64_t> spin_timeouts{0};
   };
 
   /// Daemon end of the handshake on an accepted socket, which the stream
@@ -120,8 +146,8 @@ class ShmStream {
   /// and unmaps. Idempotent; the counters stay readable.
   void close();
 
-  /// The CPU the client wrote its latest bytes from (-1 if unknown).
-  int client_cpu() const { return layout_->client_cpu.load(std::memory_order_relaxed); }
+  /// The CPU the peer wrote its latest bytes from (-1 if unknown).
+  int peer_cpu() const { return layout_->cpu[1 - end_].load(std::memory_order_relaxed); }
   /// True once the peer has written an impossible index.
   bool broken() const { return broken_; }
   const Counters& counters() const { return counters_; }
@@ -131,9 +157,13 @@ class ShmStream {
 
   /// Wakes a peer sleeping on `word`, if it is.
   void wake(std::atomic<std::uint32_t>& word);
-  /// Sleeps on `word` until `ready()` or a tick; true if ready.
+  /// Waits on `word` until `ready()` or a tick: spins first if the peer
+  /// runs on another CPU, then sleeps. True if ready.
   template <class Ready>
-  bool sleep_until(std::atomic<std::uint32_t>& word, Ready ready);
+  bool wait_until(std::atomic<std::uint32_t>& word, Ready ready);
+  /// The spin half of wait_until; true if ready.
+  template <class Ready>
+  bool spin_until(Ready ready);
   /// True if the peer is closed.
   bool peer_closed() const;
   /// One liveness poll: true if the peer's socket has hung up.
@@ -151,6 +181,11 @@ class ShmStream {
   std::uint64_t out_tail_ = 0;
   bool broken_ = false;
   bool shut_ = false;  // shutdown_write() was called
+  // Spin state: the CPUs the thread that set this end up may run on, the
+  // waits left to sleep at once, and the current back-off.
+  cpu_set_t allowed_{};
+  int spin_skip_ = 0;
+  int spin_backoff_ = 0;
   Counters counters_;
 };
 

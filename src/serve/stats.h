@@ -110,6 +110,11 @@ struct ServerStats {
   /// Liveness polls of client sockets, one per wait that ended with
   /// nothing to read (an idle tick, mostly). 0 while requests keep coming.
   std::uint64_t socket_polls = 0;
+  /// Waits on connection threads that polled the ring first because the
+  /// client ran on another CPU, and those that ran out the spin budget and
+  /// slept. Both 0 while every client shares a CPU with its thread.
+  std::uint64_t spins = 0;
+  std::uint64_t spin_timeouts = 0;
   /// Times a connection thread moved itself to its client's CPU (two
   /// sched_setaffinity calls each). 0 while client and thread stay put.
   std::uint64_t thread_moves = 0;

@@ -265,20 +265,27 @@ struct WorkerContext {
     if (!parse_task(line, &task, &attempt)) continue;
 
     // Begin-ack before anything can kill us: the supervisor charges the
-    // strike for this death to `task` only after seeing the B.
+    // strike for this death to `task` only after seeing the B. The obs
+    // mirrors are cleared first, under the beat lock, so no heartbeat
+    // after the B carries the previous task's window. A NUL on stderr
+    // then marks where this task's stderr starts: the two pipes are read
+    // at different moments, so only a mark in the stderr stream itself
+    // keeps the captured tail aligned with its task.
     {
       std::string ack;
       encode_begin(&ack, task);
+      std::lock_guard<std::mutex> lock(beat_mu);
+      mirror_events.store(0, std::memory_order_relaxed);
+      mirror_digest.store(0, std::memory_order_relaxed);
       write_line(res_wr, ack);
     }
+    write_line(STDERR_FILENO, std::string_view("\0", 1));
 
     const ChaosFate fate = chaos_fate(ctx.chaos, task, attempt);
     if (fate != ChaosFate::kNone) {
       execute_chaos(fate, task, attempt, &beating, ctx.chaos_leak_cap_mb);
     }
 
-    mirror_events.store(0, std::memory_order_relaxed);
-    mirror_digest.store(0, std::memory_order_relaxed);
     const fleet::TaskRef ref = ctx.plan->task(task);
     core::SessionHooks hooks;
     std::optional<obs::Tracer> tracer;
@@ -732,8 +739,8 @@ SupervisedResult run_supervised(const std::vector<exp::ScenarioSpec>& scenarios,
           break;
         }
       }
-      // Fresh task: fresh stderr tail and obs window.
-      w.err_tail.clear();
+      // Fresh task: fresh obs window (the stderr tail restarts at the
+      // worker's NUL mark, in drain_err).
       w.last_events = w.last_digest = 0;
       return;
     }
@@ -793,7 +800,13 @@ SupervisedResult run_supervised(const std::vector<exp::ScenarioSpec>& scenarios,
     for (;;) {
       const ssize_t n = ::read(w.err_rd, chunk, sizeof(chunk));
       if (n > 0) {
-        w.err_tail.append(chunk, static_cast<std::size_t>(n));
+        std::string_view got(chunk, static_cast<std::size_t>(n));
+        const std::size_t mark = got.rfind('\0');  // a task began: its tail starts after
+        if (mark != std::string_view::npos) {
+          w.err_tail.clear();
+          got.remove_prefix(mark + 1);
+        }
+        w.err_tail.append(got);
         if (w.err_tail.size() > kMaxStderrTail) {
           w.err_tail.erase(0, w.err_tail.size() - kMaxStderrTail);
         }
@@ -934,8 +947,9 @@ SupervisedResult run_supervised(const std::vector<exp::ScenarioSpec>& scenarios,
       break;
     }
 
-    // Drain every worker — res before err, so a task's B-ack always lands
-    // before its stderr and the per-task stderr tail stays aligned.
+    // Drain every worker. Draining res first does not order the two pipes
+    // (the worker may write its B and then its stderr between the reads);
+    // the NUL mark in the stderr stream is what aligns the tail.
     for (Worker& w : workers) {
       if (!w.alive) continue;
       const bool open = drain_res(w);

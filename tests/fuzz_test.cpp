@@ -19,6 +19,7 @@
 #include <atomic>
 #include <limits>
 #include <memory>
+#include <new>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -26,6 +27,7 @@
 #include <vector>
 
 #include "core/session.h"
+#include "cpu_pin.h"
 #include "cpu/cpu_model.h"
 #include "fault/plan.h"
 #include "net/downloader.h"
@@ -593,6 +595,24 @@ int receive_ring_memfd(const std::string& path, int* sock) {
   return fd;
 }
 
+/// Sends `fd` with one data byte over `sock`, as the daemon does.
+bool send_ring_memfd(int sock, int fd) {
+  std::uint8_t byte = 'V';
+  iovec iov{&byte, 1};
+  alignas(cmsghdr) char control[CMSG_SPACE(sizeof(int))] = {};
+  msghdr msg{};
+  msg.msg_iov = &iov;
+  msg.msg_iovlen = 1;
+  msg.msg_control = control;
+  msg.msg_controllen = sizeof control;
+  cmsghdr* cmsg = CMSG_FIRSTHDR(&msg);
+  cmsg->cmsg_level = SOL_SOCKET;
+  cmsg->cmsg_type = SCM_RIGHTS;
+  cmsg->cmsg_len = CMSG_LEN(sizeof(int));
+  std::memcpy(CMSG_DATA(cmsg), &fd, sizeof fd);
+  return sendmsg(sock, &msg, MSG_NOSIGNAL) == 1;
+}
+
 /// A hostile client holding its own mapping of a connection's rings: it
 /// can publish frames the honest way or write anything anywhere.
 class RingScribbler {
@@ -817,6 +837,38 @@ TEST(WireFuzzHandshake, RingMemfdIsSealedAgainstResize) {
   server.stop();
 }
 
+// A client refuses a mapping whose header is not this build's layout —
+// here the version-1 header, which had no daemon CPU word — and accepts
+// the same mapping with the current version.
+TEST(WireFuzzHandshake, AttachRefusesAVersion1Header) {
+  for (const std::uint32_t version : {std::uint32_t{1}, serve::kShmVersion}) {
+    const int fd = memfd_create("vafs-test-rings", MFD_CLOEXEC | MFD_ALLOW_SEALING);
+    ASSERT_GE(fd, 0);
+    ASSERT_EQ(ftruncate(fd, sizeof(serve::ShmLayout)), 0);
+    ASSERT_EQ(fcntl(fd, F_ADD_SEALS, F_SEAL_SHRINK | F_SEAL_GROW | F_SEAL_SEAL), 0);
+    void* base = mmap(nullptr, sizeof(serve::ShmLayout), PROT_READ | PROT_WRITE, MAP_SHARED, fd, 0);
+    ASSERT_NE(base, MAP_FAILED);
+    new (base) serve::ShmLayout();
+    static_cast<serve::ShmLayout*>(base)->version = version;
+    munmap(base, sizeof(serve::ShmLayout));
+
+    int sv[2] = {-1, -1};
+    ASSERT_EQ(socketpair(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0, sv), 0);
+    ASSERT_TRUE(wire_fuzz::send_ring_memfd(sv[0], fd));
+    close(fd);
+    const char* error = nullptr;
+    const std::unique_ptr<serve::ShmStream> stream = serve::ShmStream::attach(sv[1], &error);
+    if (version == serve::kShmVersion) {
+      EXPECT_NE(stream, nullptr) << (error != nullptr ? error : "");
+    } else {
+      EXPECT_EQ(stream, nullptr);
+      ASSERT_NE(error, nullptr);
+      EXPECT_STREQ(error, "ring mapping has an unknown layout");
+    }
+    close(sv[0]);
+  }
+}
+
 class WireFuzzRing : public ::testing::TestWithParam<std::uint64_t> {};
 
 // Hostile clients scribble impossible indices, random waiting words and
@@ -969,6 +1021,95 @@ TEST_P(WireFuzzRing, ScribbledMappingsDropOnlyThatConnection) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, WireFuzzRing,
                          ::testing::Range<std::uint64_t>(5200, 5204));  // 4 campaigns
+
+// The CPU hint each end publishes is shared memory too. A client that
+// claims to run on a CPU its connection thread does not run on, and then
+// goes silent, gets spins that all run out; each doubles how many waits
+// sleep at once, so over a silent second (about 20 ticks) the thread spins
+// a handful of times and otherwise sleeps in the futex. The claim flips
+// between the two CPUs the thread may use, so it differs from the thread's
+// CPU at about half of its waits, wherever the scheduler puts it.
+TEST(WireFuzzCpuHint, SilentClientClaimingAnotherCpuCostsBoundedSpins) {
+  const std::vector<int> cpus = test::allowed_cpus();
+  if (cpus.size() < 2) GTEST_SKIP() << "needs two CPUs";
+  const std::string socket_path = "/tmp/vafs-wfh-" + std::to_string(getpid()) + ".sock";
+  std::unique_ptr<serve::Server> server;
+  {
+    const test::PinSelf two({cpus[0], cpus[1]});  // the server's threads inherit it
+    ASSERT_TRUE(two.ok());
+    server = std::make_unique<serve::Server>(serve::ServerOptions{socket_path, 8, 16, nullptr});
+    ASSERT_TRUE(server->start());
+  }
+  wire_fuzz::RingScribbler evil;
+  ASSERT_TRUE(evil.connect_to(socket_path));
+  std::atomic<std::int32_t>& claim = evil.layout().cpu[serve::ShmLayout::kToClient];
+  std::vector<std::uint8_t> ping;
+  std::vector<std::uint8_t> pong;
+  std::vector<std::uint8_t> expected;
+  serve::encode_frame(ping, serve::MsgType::kPing, 0, {});
+  serve::encode_frame(expected, serve::MsgType::kPong, 0, {});
+  claim.store(cpus[0]);
+  evil.publish(ping);
+  ASSERT_TRUE(evil.read(pong, expected.size(), 5000));
+  EXPECT_EQ(pong, expected);
+
+  const serve::ServerStats before = server->stats();
+  const auto end = std::chrono::steady_clock::now() + std::chrono::seconds(1);
+  for (int i = 1; std::chrono::steady_clock::now() < end; ++i) {
+    claim.store(cpus[i % 2]);
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  const serve::ServerStats after = server->stats();
+  server->stop();
+
+  const std::uint64_t spins = after.spins - before.spins;
+  const std::uint64_t timeouts = after.spin_timeouts - before.spin_timeouts;
+  EXPECT_GT(spins, 0u);
+  EXPECT_EQ(timeouts, spins);  // nothing ever arrives
+  EXPECT_LE(timeouts, 6u);     // waits 0, 2, 5, 10 and 19 of about 21
+  EXPECT_GE(after.futex_waits - before.futex_waits, 15u);
+}
+
+// A hint that is negative, at or past CPU_SETSIZE, or a CPU the connection
+// thread may not run on never makes it spin. The server's threads may run
+// on one CPU only, so a valid hint would always name their own CPU and
+// never make them spin either: every spin here would come from a hint
+// that should have been refused.
+TEST(WireFuzzCpuHint, ImpossibleHintsNeverSpin) {
+  const std::vector<int> cpus = test::allowed_cpus();
+  ASSERT_FALSE(cpus.empty());
+  const int outside = cpus[0] == 0 ? 1 : 0;
+  const std::string socket_path = "/tmp/vafs-wfi-" + std::to_string(getpid()) + ".sock";
+  std::unique_ptr<serve::Server> server;
+  {
+    const test::PinSelf one({cpus[0]});
+    ASSERT_TRUE(one.ok());
+    server = std::make_unique<serve::Server>(serve::ServerOptions{socket_path, 8, 16, nullptr});
+    ASSERT_TRUE(server->start());
+  }
+  wire_fuzz::RingScribbler evil;
+  ASSERT_TRUE(evil.connect_to(socket_path));
+  std::vector<std::uint8_t> ping;
+  std::vector<std::uint8_t> expected;
+  serve::encode_frame(ping, serve::MsgType::kPing, 0, {});
+  serve::encode_frame(expected, serve::MsgType::kPong, 0, {});
+  for (const std::int32_t hint : {-1, -2, std::numeric_limits<std::int32_t>::min(), CPU_SETSIZE,
+                                  CPU_SETSIZE + 1, std::numeric_limits<std::int32_t>::max(),
+                                  outside}) {
+    evil.layout().cpu[serve::ShmLayout::kToClient].store(hint);
+    evil.publish(ping);
+    std::vector<std::uint8_t> pong;
+    ASSERT_TRUE(evil.read(pong, expected.size(), 5000)) << "hint " << hint;
+    EXPECT_EQ(pong, expected) << "hint " << hint;
+    // The connection thread now waits for the next request under `hint`.
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  const serve::ServerStats stats = server->stats();
+  server->stop();
+  EXPECT_EQ(stats.requests, 0u);  // pings are not decisions
+  EXPECT_EQ(stats.spins, 0u);
+  EXPECT_EQ(stats.protocol_errors, 0u);
+}
 
 // Semantically hostile stream configs, each framed with a valid checksum —
 // unlike the mutated frames above, they pass the wire checks and reach the

@@ -48,9 +48,11 @@
 
 #include "core/session.h"
 #include "alloc_count.h"
+#include "cpu_pin.h"
 #include "golden_corpus.h"
 #include "obs/trace.h"
 #include "serve/client.h"
+#include "serve/cpu_follower.h"
 #include "serve/server.h"
 #include "serve/shm_stream.h"
 #include "serve/stats.h"
@@ -560,7 +562,14 @@ TEST(ServeWire, DecideAndDecisionFrameBytesArePinned) {
 // A steady-state decision makes no socket call, at most one futex wake
 // and one futex wait on each side, and allocates nothing on either side.
 // The server runs in this process, so the allocation count covers both.
+// Client and server share one CPU (the server's threads inherit this
+// thread's pin), so neither side may ever spin: a spin there would burn
+// the time of the thread it waits for.
 TEST(ServeTransport, SteadyStateDecisionMakesNoSocketCallAndNoAllocation) {
+  const std::vector<int> cpus = test::allowed_cpus();
+  ASSERT_FALSE(cpus.empty());
+  const test::PinSelf pin({cpus.back()});
+  ASSERT_TRUE(pin.ok());
   serve::Server server({unique_socket_path("diet"), 8, 16, nullptr});
   ASSERT_TRUE(server.start());
   serve::ServeConnection conn(server.socket_path());
@@ -604,6 +613,9 @@ TEST(ServeTransport, SteadyStateDecisionMakesNoSocketCallAndNoAllocation) {
   }
   EXPECT_TRUE(measured) << "every window made a socket call";
   server.stop();
+  EXPECT_EQ(client.spins.load(), 0u);
+  EXPECT_EQ(server.stats().spins, 0u);
+  EXPECT_EQ(server.stats().thread_moves, 0u);
 }
 
 // Destroying a client closes its end of the rings and wakes the server,
@@ -706,6 +718,89 @@ TEST(ShmStreamWake, WritesLargerThanTheRingStreamThrough) {
   writer.join();
   EXPECT_EQ(got, big);
   EXPECT_EQ(pair.client->counters().late_wakes.load(), 0u);
+}
+
+// Two threads pinned to two CPUs (after setting the pair up, so each end
+// may spin for a peer on either CPU): each side waits while its peer runs
+// on the other CPU, so every wait polls the ring and the reply lands
+// within the spin budget; nobody sleeps in the futex. A window in which a
+// spin ran out (a thread was preempted on a busy host) is measured again,
+// after enough round trips to use up the back-off it left.
+TEST(ShmStreamSpin, SplitPairSpinsInsteadOfSleeping) {
+  const std::vector<int> cpus = test::allowed_cpus();
+  if (cpus.size() < 2) GTEST_SKIP() << "needs two CPUs";
+  StreamPair pair = make_stream_pair();
+  ASSERT_TRUE(pair.daemon && pair.client);
+  const test::PinSelf pin({cpus[0]});
+  ASSERT_TRUE(pin.ok());
+
+  std::atomic<bool> echo_pinned{false};
+  std::thread echo([&] {
+    const test::PinSelf echo_pin({cpus[1]});
+    echo_pinned = echo_pin.ok();
+    std::uint8_t buf[8];
+    while (read_all(*pair.daemon, buf, sizeof buf)) {
+      if (!pair.daemon->write_all(buf, sizeof buf)) return;
+    }
+  });
+  std::uint64_t sent = 0;
+  const auto round_trips = [&](std::uint64_t n) {
+    for (std::uint64_t i = 0; i < n; ++i, ++sent) {
+      std::uint8_t out[8];
+      std::uint8_t back[8] = {};
+      std::memcpy(out, &sent, sizeof out);
+      if (!pair.client->write_all(out, sizeof out) ||
+          !read_all(*pair.client, back, sizeof back) || std::memcmp(out, back, sizeof out) != 0) {
+        return false;
+      }
+    }
+    return true;
+  };
+
+  constexpr std::uint64_t kRoundTrips = 1000;
+  const serve::ShmStream::Counters& client = pair.client->counters();
+  const serve::ShmStream::Counters& daemon = pair.daemon->counters();
+  bool echoed = true;
+  bool measured = false;
+  for (int attempt = 0; attempt < 20 && echoed && !measured; ++attempt) {
+    const std::uint64_t timeouts = client.spin_timeouts + daemon.spin_timeouts;
+    echoed = round_trips(2 * serve::kMaxSpinSkip);
+    const std::uint64_t spins = client.spins;
+    const std::uint64_t client_waits = client.futex_waits;
+    const std::uint64_t daemon_waits = daemon.futex_waits;
+    echoed = echoed && round_trips(kRoundTrips);
+    if (!echoed || client.spin_timeouts + daemon.spin_timeouts != timeouts) continue;
+    measured = true;
+    EXPECT_GE(client.spins - spins, kRoundTrips * 9 / 10);
+    EXPECT_LE(client.spins - spins, kRoundTrips);
+    EXPECT_LE(client.futex_waits - client_waits, kRoundTrips / 100);
+    EXPECT_LE(daemon.futex_waits - daemon_waits, kRoundTrips / 100);
+  }
+  pair.client->close();
+  echo.join();
+  EXPECT_TRUE(echoed);
+  EXPECT_TRUE(echo_pinned);
+  EXPECT_TRUE(measured) << "a spin ran out in every window";
+  EXPECT_EQ(pair.client->counters().late_wakes.load(), 0u);
+  EXPECT_EQ(pair.daemon->counters().late_wakes.load(), 0u);
+}
+
+// The placement rule alone: requests from another CPU that the thread
+// did not sleep for (it spun for them) never move it, however many, and
+// one of them ends a streak; kFollowAfter slept-for ones in a row do.
+TEST(CpuFollowerTest, MovesOnlyForRequestsItSleptFor) {
+  const std::vector<int> cpus = test::allowed_cpus();
+  if (cpus.size() < 2) GTEST_SKIP() << "needs two CPUs";
+  const test::PinSelf both({cpus[0], cpus[1]});
+  ASSERT_TRUE(both.ok());
+  serve::CpuFollower follower;  // may follow a client to either CPU
+  const test::PinSelf here({cpus[0]});
+  ASSERT_TRUE(here.ok());
+  for (int i = 0; i < 1000; ++i) EXPECT_FALSE(follower.on_request(cpus[1], false));
+  for (int i = 1; i < serve::kFollowAfter; ++i) EXPECT_FALSE(follower.on_request(cpus[1], true));
+  EXPECT_FALSE(follower.on_request(cpus[1], false));
+  for (int i = 1; i < serve::kFollowAfter; ++i) EXPECT_FALSE(follower.on_request(cpus[1], true));
+  EXPECT_TRUE(follower.on_request(cpus[1], true));
 }
 
 // stats() counts live connections and keeps every reaped connection's
