@@ -10,7 +10,7 @@
 //   BENCH_f15.json              search summary (rounds, sessions, digest)
 //
 // Determinism: the whole search is a pure function of --seed; artifacts
-// are byte-identical at any --jobs/--batch/--shards setting, and a
+// are byte-identical at any --jobs/--shards setting, and a
 // SIGTERM-killed run resumed with --resume reproduces them exactly
 // (exit 75 = incomplete but resumable, like bench_fleet).
 #include <algorithm>
@@ -121,7 +121,6 @@ int main(int argc, char** argv) {
   topts.base.downloader.attempt_timeout = sim::SimTime::seconds(6);
   topts.base.downloader.max_attempts = 4;
   topts.jobs = options.effective_jobs();
-  topts.batch = options.batch;
   if (options.shards > 0) topts.shard_size = static_cast<std::size_t>(options.shards);
   topts.checkpoint_dir = options.checkpoint_dir;
   topts.resume = options.resume;

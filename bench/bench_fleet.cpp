@@ -110,7 +110,6 @@ int main(int argc, char** argv) {
   if (options.shards > 0) {
     fopts.shard_size = static_cast<std::size_t>((tasks + options.shards - 1) / options.shards);
   }
-  fopts.batch = options.batch;
   fopts.checkpoint_dir = options.checkpoint_dir;
   fopts.resume = options.resume;
   fopts.trace = options.trace_flag != 0;  // default on: the digest chain IS the result
@@ -122,11 +121,6 @@ int main(int argc, char** argv) {
   };
 
   const bool supervised = options.supervise > 0;
-  if (supervised && options.batch > 1) {
-    std::fprintf(stderr, "bench_fleet: --supervise and --batch are mutually exclusive "
-                 "(supervised workers run the serial per-task path)\n");
-    return 2;
-  }
   if (options.chaos_stall > 0 && options.task_deadline_ms == 0) {
     std::fprintf(stderr, "bench_fleet: --chaos-stall needs --task-deadline-ms: a stalled "
                  "worker keeps heartbeating, so only the task deadline can reap it\n");
@@ -178,11 +172,10 @@ int main(int argc, char** argv) {
     fopts.decision_backend = serve_backend.get();
   }
 
-  std::printf("fleet: %zu scenarios x %zu seeds = %llu sessions, shard size %zu, %d %s, "
-              "batch %d\n",
+  std::printf("fleet: %zu scenarios x %zu seeds = %llu sessions, shard size %zu, %d %s\n",
               scenarios.size(), fopts.seeds.size(), static_cast<unsigned long long>(tasks),
               fopts.shard_size, supervised ? options.supervise : fopts.jobs,
-              supervised ? "supervised workers" : "jobs", fopts.batch);
+              supervised ? "supervised workers" : "jobs");
 
   supervise::SupervisedResult sup;
   const auto t0 = std::chrono::steady_clock::now();

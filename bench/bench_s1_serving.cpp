@@ -102,8 +102,8 @@ std::string serving_usage() {
          "                     on a private socket; otherwise the socket path of a\n"
          "                     running vafsd (server-side latency is then reported\n"
          "                     by the daemon, not here)\n"
-         "  --seed-count N     sessions per scenario (default: jobs x batch, i.e.\n"
-         "                     two full-concurrency waves across the 2 scenarios)\n";
+         "  --seed-count N     sessions per scenario (default: jobs x ceil(1024/jobs),\n"
+         "                     i.e. two full-concurrency waves across the 2 scenarios)\n";
 }
 
 }  // namespace
@@ -124,11 +124,10 @@ int main(int argc, char** argv) {
   }
 
   const int jobs = options.effective_jobs();
-  // Concurrency comes from lockstep batch width x workers: the default
-  // targets >= 1024 concurrent streams regardless of core count (a single
-  // worker still multiplexes 1024 live sessions over one connection).
-  const int batch =
-      options.batch > 1 ? options.batch : static_cast<int>((1024 + jobs - 1) / jobs);
+  // Concurrency comes from lockstep batch width x workers: >= 1024
+  // concurrent streams regardless of core count (a single worker still
+  // multiplexes 1024 live sessions over one connection).
+  const int batch = (1024 + jobs - 1) / jobs;
   const std::uint64_t streams =
       static_cast<std::uint64_t>(jobs) * static_cast<std::uint64_t>(batch);
 

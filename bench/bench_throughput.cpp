@@ -135,7 +135,6 @@ int main(int argc, char** argv) {
   exp::RunOptions timed_opts;
   timed_opts.jobs = app.jobs();
   timed_opts.seeds = app.seeds();
-  timed_opts.batch = app.options().batch;
   timed_opts.trace = app.tracing();  // off by default; --trace A/Bs the digest cost
 
   std::printf("t1 grid:  %zu scenarios x %zu seeds = %zu sessions\n", t1_grid.scenarios().size(),
@@ -155,32 +154,6 @@ int main(int argc, char** argv) {
   exp::Json& extra = app.extra();
   report("t1", t1, reps, extra);
   report("net", net, reps, extra);
-
-  // ---- Batch sweep: the T1 grid through the lockstep SessionBatch path ----
-  // Same grid, same jobs, same (bitwise-identical) per-session work — only
-  // the per-worker driver changes, so the deltas below isolate what the
-  // shared wheel + arena-pinned lanes buy (or cost) at each width.
-  // All three sizes even under --quick: the perf gate's baseline lists
-  // every batch metric, and a quick CI run must still produce them all.
-  const std::vector<int> batch_sizes = {4, 8, 32};
-  std::vector<std::pair<int, GridTiming>> batch_timings;
-  for (const int batch : batch_sizes) {
-    exp::RunOptions batch_opts = timed_opts;
-    batch_opts.batch = batch;
-    const std::string tag = "t1_batch" + std::to_string(batch);
-    const GridTiming bt = time_grid(tag.c_str(), t1_grid, t1_warm, batch_opts, reps);
-    report(tag.c_str(), bt, reps, extra);
-    batch_timings.emplace_back(batch, bt);
-  }
-  std::printf("serial vs batch, t1 grid (%d jobs):\n\n", app.jobs());
-  std::printf("%-12s %14s %10s\n", "path", "sessions/sec", "vs serial");
-  exp::print_rule(38);
-  std::printf("%-12s %14.1f %10s\n", "serial", t1.sessions_per_sec, "1.00x");
-  for (const auto& [batch, bt] : batch_timings) {
-    std::printf("batch=%-6d %14.1f %9.2fx\n", batch, bt.sessions_per_sec,
-                bt.sessions_per_sec / t1.sessions_per_sec);
-  }
-  std::printf("\n");
 
   // Back-compat headline keys: the T1 grid is the reference workload.
   extra.set("sessions_per_sec", t1.sessions_per_sec);

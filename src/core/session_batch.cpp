@@ -6,7 +6,7 @@
 
 namespace vafs::core {
 
-SessionBatch::SessionBatch(std::size_t capacity, sim::SimTime quantum) : quantum_(quantum) {
+SessionBatch::SessionBatch(std::size_t capacity) {
   lanes_.reserve(capacity);
   wheel_.reserve(capacity);
 }
@@ -71,8 +71,8 @@ void SessionBatch::run() {
     // SimTime::max() (empty wheel, or horizon arithmetic saturating) means
     // "run this lane to retirement".
     sim::SimTime horizon = sim::SimTime::max();
-    if (!wheel_.empty() && sim::SimTime::max() - quantum_ >= wheel_[0].time) {
-      horizon = wheel_[0].time + quantum_;
+    if (!wheel_.empty() && sim::SimTime::max() - kQuantum >= wheel_[0].time) {
+      horizon = wheel_[0].time + kQuantum;
     }
     try {
       sim::SimTime t;

@@ -28,17 +28,14 @@ class SessionInstance;
 
 class SessionBatch {
  public:
+  /// Bounds the lockstep skew: the driver bursts the earliest lane until
+  /// its clock passes the runner-up's by more than this, then rotates.
+  /// Lanes share nothing, so the interleaving is unobservable: per-session
+  /// results do not depend on it.
+  static constexpr sim::SimTime kQuantum = sim::SimTime::millis(250);
+
   /// `capacity` is a reservation hint; admit() beyond it still works.
-  ///
-  /// `quantum` bounds the lockstep skew: the driver bursts the earliest
-  /// lane until its clock passes the runner-up's by more than `quantum`,
-  /// then rotates. Zero is strict earliest-event-first (maximum wheel
-  /// traffic, per-event lane switching); larger quanta trade tighter
-  /// lockstep for serial-grade cache locality within each burst. Any
-  /// value produces bitwise-identical per-session results — lanes share
-  /// nothing, so the interleaving is unobservable.
-  explicit SessionBatch(std::size_t capacity = 0,
-                        sim::SimTime quantum = sim::SimTime::millis(250));
+  explicit SessionBatch(std::size_t capacity = 0);
   ~SessionBatch();
   SessionBatch(const SessionBatch&) = delete;
   SessionBatch& operator=(const SessionBatch&) = delete;
@@ -84,7 +81,6 @@ class SessionBatch {
   std::vector<std::unique_ptr<SessionInstance>> lanes_;
   std::vector<std::string> errors_;  // per lane; non-empty = lane threw mid-run
   std::vector<WheelEntry> wheel_;
-  sim::SimTime quantum_;
 };
 
 }  // namespace vafs::core

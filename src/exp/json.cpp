@@ -3,6 +3,8 @@
 #include <cassert>
 #include <charconv>
 #include <cmath>
+#include <cstdio>
+#include <cstdlib>
 
 namespace vafs::exp {
 
@@ -39,9 +41,7 @@ std::string json_number(double v) {
   return std::string(buf, end);
 }
 
-namespace {
-
-void write_escaped(std::string& out, const std::string& s) {
+void json_quote(std::string& out, std::string_view s) {
   out.push_back('"');
   for (const char c : s) {
     switch (c) {
@@ -53,7 +53,7 @@ void write_escaped(std::string& out, const std::string& s) {
       default:
         if (static_cast<unsigned char>(c) < 0x20) {
           char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
+          std::snprintf(buf, sizeof buf, "\\u%04x", static_cast<unsigned>(c));
           out += buf;
         } else {
           out.push_back(c);
@@ -62,6 +62,15 @@ void write_escaped(std::string& out, const std::string& s) {
   }
   out.push_back('"');
 }
+
+std::string json_quote(std::string_view s) {
+  std::string out;
+  out.reserve(s.size() + 2);
+  json_quote(out, s);
+  return out;
+}
+
+namespace {
 
 void newline_indent(std::string& out, int indent, int depth) {
   if (indent <= 0) return;
@@ -76,7 +85,7 @@ void Json::write(std::string& out, int indent, int depth) const {
     case Kind::kNull: out += "null"; break;
     case Kind::kBool: out += bool_ ? "true" : "false"; break;
     case Kind::kNumber: out += json_number(num_); break;
-    case Kind::kString: write_escaped(out, str_); break;
+    case Kind::kString: json_quote(out, str_); break;
     case Kind::kArray: {
       if (items_.empty()) {
         out += "[]";
@@ -101,7 +110,7 @@ void Json::write(std::string& out, int indent, int depth) const {
       for (std::size_t i = 0; i < members_.size(); ++i) {
         if (i) out.push_back(',');
         newline_indent(out, indent, depth + 1);
-        write_escaped(out, members_[i].first);
+        json_quote(out, members_[i].first);
         out += indent > 0 ? ": " : ":";
         members_[i].second.write(out, indent, depth + 1);
       }
@@ -247,9 +256,10 @@ class Parser {
     const auto [end, ec] =
         std::from_chars(text_.data() + start, text_.data() + pos_, v);
     if (ec == std::errc::result_out_of_range) {
-      // Overflow saturates to ±inf like strtod; keep it as a number so
-      // "1e999" parses (it re-renders as null, same as any non-finite).
-      v = (text_[start] == '-') ? -HUGE_VAL : HUGE_VAL;
+      // Out of double range: strtod saturates overflow to ±inf ("1e999"
+      // parses and re-renders as null, like any non-finite) and rounds
+      // underflow to ±0 ("1e-999" is zero, not infinity).
+      v = std::strtod(std::string(text_.substr(start, pos_ - start)).c_str(), nullptr);
     } else if (ec != std::errc() || end != text_.data() + pos_) {
       return fail("malformed number");
     }

@@ -73,6 +73,12 @@ class Json {
 /// non-finite values render as null).
 std::string json_number(double v);
 
+/// Appends `s` as a quoted JSON string literal: quote, backslash, \n, \r
+/// and \t get their short escapes, other control bytes \u00XX. Every
+/// hand-built JSON line (spool rows, quarantine records) goes through this.
+void json_quote(std::string& out, std::string_view s);
+std::string json_quote(std::string_view s);
+
 /// Strict RFC 8259 parser for the artifacts this module writes (and any
 /// well-formed JSON): no comments, no trailing commas, no garbage after
 /// the top-level value. On failure returns false and sets *error to a

@@ -4,13 +4,11 @@
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
-#include <deque>
 #include <exception>
 #include <optional>
 #include <string>
 #include <thread>
 
-#include "core/session_batch.h"
 #include "obs/trace.h"
 
 namespace vafs::exp {
@@ -67,68 +65,6 @@ TaskOutcome run_one_task(const ScenarioSpec& spec, std::uint64_t seed,
   return out;
 }
 
-std::vector<TaskOutcome> run_task_batch(const std::vector<BatchTask>& tasks, bool trace,
-                                        std::deque<core::SessionArena>& arenas,
-                                        std::int64_t task_timeout_ms) {
-  const std::size_t n = tasks.size();
-  std::vector<TaskOutcome> out(n);
-  if (arenas.size() < n) arenas.resize(n);
-  // One worker-wide content pool: lanes keep private event arenas but
-  // share arenas[0]'s synthesized-content cache, so a pack replaying one
-  // workload under N governors synthesizes frames once, like serial.
-  for (std::size_t i = 1; i < n; ++i) arenas[i].content_donor = &arenas[0];
-
-  // Per-cell digest tracers live in a deque (stable addresses across
-  // emplacements) and stay alive until the lane's finish() seals the
-  // digest into its result — exactly the serial tracer lifetime, just for
-  // N cells at once. Cells whose hooks brought a tracer keep it.
-  std::deque<obs::Tracer> digest_tracers;
-  core::SessionBatch batch(n);
-  // lane_of[cell]: the batch lane running that cell, or npos when
-  // admission itself threw (error already recorded).
-  constexpr std::size_t kNoLane = static_cast<std::size_t>(-1);
-  std::vector<std::size_t> lane_of(n, kNoLane);
-  // Each lane's stamped config must outlive run(): admit() borrows it.
-  std::deque<core::SessionConfig> configs;
-
-  const auto task_error = [&](std::size_t i, const char* what) {
-    return "scenario '" + tasks[i].spec->id + "' seed " + std::to_string(tasks[i].seed) + ": " +
-           what;
-  };
-
-  for (std::size_t i = 0; i < n; ++i) {
-    core::SessionConfig& config = configs.emplace_back(tasks[i].spec->config);
-    config.seed = tasks[i].seed;
-    if (task_timeout_ms > 0) config.task_timeout_ms = task_timeout_ms;
-    core::SessionHooks hooks = tasks[i].hooks;
-    if (hooks.tracer == nullptr && trace) {
-      digest_tracers.emplace_back(obs::Tracer::Config{0});
-      hooks.tracer = &digest_tracers.back();
-    }
-    try {
-      lane_of[i] = batch.admit(config, hooks, &arenas[i]);
-    } catch (const std::exception& e) {
-      out[i].error = task_error(i, e.what());
-    } catch (...) {
-      out[i].error = task_error(i, "unknown exception");
-    }
-  }
-
-  batch.run();
-
-  for (std::size_t i = 0; i < n; ++i) {
-    if (lane_of[i] == kNoLane) continue;
-    try {
-      out[i].result = batch.finish(lane_of[i]);
-    } catch (const std::exception& e) {
-      out[i].error = task_error(i, e.what());
-    } catch (...) {
-      out[i].error = task_error(i, "unknown exception");
-    }
-  }
-  return out;
-}
-
 ResultSet run_grid(const std::vector<ScenarioSpec>& scenarios, const RunOptions& opts) {
   std::vector<ScenarioResult> results(scenarios.size());
   for (std::size_t s = 0; s < scenarios.size(); ++s) {
@@ -179,61 +115,8 @@ ResultSet run_grid(const std::vector<ScenarioSpec>& scenarios, const RunOptions&
     errors[t] = std::move(out.error);
   };
 
-  // Batch mode packs runs of `batch` consecutive tasks — still in
-  // canonical order — through one SessionBatch per chunk; the last chunk
-  // is ragged when batch does not divide ntasks. Per-task results and
-  // errors land in the same preallocated slots, so the aggregation below
-  // cannot tell the paths apart.
-  const auto run_chunk = [&](std::size_t lo, std::size_t hi,
-                             std::deque<core::SessionArena>& arenas) {
-    std::vector<BatchTask> pack;
-    pack.reserve(hi - lo);
-    for (std::size_t t = lo; t < hi; ++t) {
-      const std::size_t s = t / nseeds;
-      const std::size_t i = t % nseeds;
-      BatchTask bt;
-      bt.spec = &scenarios[s];
-      bt.seed = opts.seeds[i];
-      bt.hooks = hooks[t];
-      if (bt.hooks.tracer == nullptr && opts.capture != nullptr && s == opts.capture_scenario &&
-          i == opts.capture_seed) {
-        bt.hooks.tracer = opts.capture;
-      }
-      pack.push_back(std::move(bt));
-    }
-    std::vector<TaskOutcome> outs = run_task_batch(pack, opts.trace, arenas, opts.task_timeout_ms);
-    for (std::size_t t = lo; t < hi; ++t) {
-      results[t / nseeds].runs[t % nseeds] = std::move(outs[t - lo].result);
-      errors[t] = std::move(outs[t - lo].error);
-    }
-  };
-
   const int jobs = opts.jobs;
-  if (opts.batch > 1) {
-    const std::size_t bsz = static_cast<std::size_t>(opts.batch);
-    const std::size_t nchunks = (ntasks + bsz - 1) / bsz;
-    if (jobs <= 1 || nchunks <= 1) {
-      std::deque<core::SessionArena> arenas;
-      for (std::size_t c = 0; c < nchunks; ++c) {
-        run_chunk(c * bsz, std::min(ntasks, (c + 1) * bsz), arenas);
-      }
-    } else {
-      std::atomic<std::size_t> next{0};
-      const auto worker = [&] {
-        std::deque<core::SessionArena> arenas;
-        for (;;) {
-          const std::size_t c = next.fetch_add(1, std::memory_order_relaxed);
-          if (c >= nchunks) return;
-          run_chunk(c * bsz, std::min(ntasks, (c + 1) * bsz), arenas);
-        }
-      };
-      std::vector<std::thread> pool;
-      const std::size_t width = std::min<std::size_t>(static_cast<std::size_t>(jobs), nchunks);
-      pool.reserve(width);
-      for (std::size_t w = 0; w < width; ++w) pool.emplace_back(worker);
-      for (auto& th : pool) th.join();
-    }
-  } else if (jobs <= 1 || ntasks <= 1) {
+  if (jobs <= 1 || ntasks <= 1) {
     core::SessionArena arena;
     for (std::size_t t = 0; t < ntasks; ++t) run_task(t, arena);
   } else {

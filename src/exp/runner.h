@@ -8,7 +8,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <initializer_list>
 #include <string>
@@ -27,11 +26,6 @@ struct RunOptions {
   int jobs = 1;
   /// One session per scenario per seed, aggregated in this order.
   std::vector<std::uint64_t> seeds = {101, 202, 303};
-  /// Sessions advanced in lockstep per worker (core::SessionBatch): tasks
-  /// are packed, in canonical (scenario, seed) order, into chunks of this
-  /// size. <= 1 keeps the classic one-session-at-a-time path. Results are
-  /// bitwise identical at every batch size — sessions share nothing.
-  int batch = 1;
 
   /// Optional probe factory (e.g. timeline recorders). Called once per
   /// task *before* execution starts, from the calling thread; the hooks it
@@ -136,27 +130,6 @@ struct TaskOutcome {
 TaskOutcome run_one_task(const ScenarioSpec& spec, std::uint64_t seed,
                          core::SessionHooks hooks, bool trace, core::SessionArena* arena,
                          std::int64_t task_timeout_ms = 0);
-
-/// One cell of a batch pack: the scenario (borrowed — must outlive the
-/// call), the seed to stamp, and the cell's hooks.
-struct BatchTask {
-  const ScenarioSpec* spec = nullptr;
-  std::uint64_t seed = 0;
-  core::SessionHooks hooks;
-};
-
-/// Runs a pack of cells in lockstep through one core::SessionBatch — the
-/// batch-mode counterpart of calling run_one_task once per cell, with
-/// bitwise-identical per-cell outcomes (same results, same digests, same
-/// error messages) in the same order. A cell that fails — at bring-up or
-/// mid-run — yields its error slot exactly as the serial path would and
-/// does not disturb its batchmates. `arenas` backs the lanes one-to-one
-/// (grown to tasks.size() if shorter; a deque because arenas are pinned —
-/// an EventQueue::Arena serves one live queue and never moves); reuse it
-/// across packs on the same worker to stay allocation-free.
-std::vector<TaskOutcome> run_task_batch(const std::vector<BatchTask>& tasks, bool trace,
-                                        std::deque<core::SessionArena>& arenas,
-                                        std::int64_t task_timeout_ms = 0);
 
 /// Runs scenarios × seeds on a pool of `opts.jobs` threads.
 ResultSet run_grid(const std::vector<ScenarioSpec>& scenarios, const RunOptions& opts);

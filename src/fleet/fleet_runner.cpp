@@ -9,8 +9,8 @@
 #include <thread>
 #include <utility>
 
+#include "core/session_batch.h"
 #include "exp/runner.h"
-#include "fleet/shard_plan.h"
 #include "obs/trace.h"
 
 namespace vafs::fleet {
@@ -59,99 +59,181 @@ class ShardQueue {
   std::vector<Deque> deques_;
 };
 
-std::string manifest_path(const std::string& dir) { return dir + "/manifest.ckpt"; }
+/// One cell of a batch pack: the scenario (borrowed), the seed to stamp,
+/// and the cell's hooks.
+struct BatchTask {
+  const exp::ScenarioSpec* spec = nullptr;
+  std::uint64_t seed = 0;
+  core::SessionHooks hooks;
+};
+
+/// Runs a pack of cells in lockstep through one core::SessionBatch, with
+/// outcomes bitwise identical to calling exp::run_one_task once per cell
+/// (same results, digests and error messages, same order). A cell that
+/// fails at bring-up or mid-run yields its error slot and does not disturb
+/// its batchmates. `arenas` backs the lanes one-to-one (a deque: an
+/// EventQueue::Arena serves one live queue and never moves); reuse it
+/// across packs on one worker to stay allocation-free.
+std::vector<exp::TaskOutcome> run_task_batch(const std::vector<BatchTask>& tasks, bool trace,
+                                             std::deque<core::SessionArena>& arenas,
+                                             std::int64_t task_timeout_ms) {
+  const std::size_t n = tasks.size();
+  std::vector<exp::TaskOutcome> out(n);
+  if (arenas.size() < n) arenas.resize(n);
+  // One worker-wide content pool: lanes keep private event arenas but
+  // share arenas[0]'s synthesized-content cache, so a pack replaying one
+  // workload under N governors synthesizes frames once, like serial.
+  for (std::size_t i = 1; i < n; ++i) arenas[i].content_donor = &arenas[0];
+
+  // Per-cell digest tracers (stable addresses in a deque) live until the
+  // lane's finish() seals the digest into its result, as in the serial
+  // path. Cells whose hooks brought a tracer keep it.
+  std::deque<obs::Tracer> digest_tracers;
+  core::SessionBatch batch(n);
+  // lane_of[cell]: the batch lane running that cell, or kNoLane when
+  // admission itself threw (error already recorded).
+  constexpr std::size_t kNoLane = static_cast<std::size_t>(-1);
+  std::vector<std::size_t> lane_of(n, kNoLane);
+  // Each lane's stamped config must outlive run(): admit() borrows it.
+  std::deque<core::SessionConfig> configs;
+
+  const auto task_error = [&](std::size_t i, const char* what) {
+    return "scenario '" + tasks[i].spec->id + "' seed " + std::to_string(tasks[i].seed) + ": " +
+           what;
+  };
+
+  for (std::size_t i = 0; i < n; ++i) {
+    core::SessionConfig& config = configs.emplace_back(tasks[i].spec->config);
+    config.seed = tasks[i].seed;
+    if (task_timeout_ms > 0) config.task_timeout_ms = task_timeout_ms;
+    core::SessionHooks hooks = tasks[i].hooks;
+    if (hooks.tracer == nullptr && trace) {
+      digest_tracers.emplace_back(obs::Tracer::Config{0});
+      hooks.tracer = &digest_tracers.back();
+    }
+    try {
+      lane_of[i] = batch.admit(config, hooks, &arenas[i]);
+    } catch (const std::exception& e) {
+      out[i].error = task_error(i, e.what());
+    } catch (...) {
+      out[i].error = task_error(i, "unknown exception");
+    }
+  }
+
+  batch.run();
+
+  for (std::size_t i = 0; i < n; ++i) {
+    if (lane_of[i] == kNoLane) continue;
+    try {
+      out[i].result = batch.finish(lane_of[i]);
+    } catch (const std::exception& e) {
+      out[i].error = task_error(i, e.what());
+    } catch (...) {
+      out[i].error = task_error(i, "unknown exception");
+    }
+  }
+  return out;
+}
+
+std::string manifest_path(const std::string& checkpoint_dir) {
+  return checkpoint_dir + "/manifest.ckpt";
+}
 
 }  // namespace
 
-FleetResult run_fleet(const std::vector<exp::ScenarioSpec>& scenarios, const FleetOptions& opts) {
-  FleetResult result;
-  result.scenarios.reserve(scenarios.size());
-  for (const auto& spec : scenarios) result.scenarios.push_back(FleetScenario{spec, {}});
+bool open_durable_run(const std::vector<exp::ScenarioSpec>& scenarios, const FleetOptions& opts,
+                      const std::string& who, FleetResult* result, DurableRun* run) {
+  result->scenarios.reserve(scenarios.size());
+  for (const auto& spec : scenarios) result->scenarios.push_back(FleetScenario{spec, {}});
 
-  const ShardPlan plan(scenarios.size(), opts.seeds.size(), opts.shard_size);
-  result.fingerprint = grid_fingerprint(scenarios, opts.seeds, plan.shard_size());
-  result.shard_count = plan.shard_count();
+  run->plan = ShardPlan(scenarios.size(), opts.seeds.size(), opts.shard_size);
+  result->fingerprint = grid_fingerprint(scenarios, opts.seeds, run->plan.shard_size());
+  result->shard_count = run->plan.shard_count();
 
-  const bool checkpointing = !opts.checkpoint_dir.empty();
-  if (checkpointing) {
+  if (!opts.checkpoint_dir.empty()) {
     std::error_code ec;
     std::filesystem::create_directories(opts.checkpoint_dir, ec);
     if (ec) {
-      result.error = "fleet: cannot create checkpoint dir '" + opts.checkpoint_dir +
-                     "': " + ec.message();
-      return result;
+      result->error = who + ": cannot create checkpoint dir '" + opts.checkpoint_dir +
+                      "': " + ec.message();
+      return false;
     }
+    run->manifest = manifest_path(opts.checkpoint_dir);
   }
 
   // ---- Resume: restore the fold state from the manifest, if any.
-  std::uint64_t frontier = 0;  // shards folded so far
   std::uint64_t spool_resume_offset = 0;
-  std::uint64_t quarantine_offset = 0;  // carried through for supervised manifests
-  if (opts.resume && checkpointing &&
-      std::filesystem::exists(manifest_path(opts.checkpoint_dir))) {
+  if (opts.resume && run->checkpointing() && std::filesystem::exists(run->manifest)) {
     CheckpointState cs;
     std::string error;
-    if (!read_checkpoint(manifest_path(opts.checkpoint_dir), &cs, &error)) {
-      result.error = "fleet: resume failed: " + error;
-      return result;
+    if (!read_checkpoint(run->manifest, &cs, &error)) {
+      result->error = who + ": resume failed: " + error;
+      return false;
     }
-    if (cs.fingerprint != result.fingerprint) {
-      result.error =
-          "fleet: resume refused: the manifest was written for a different grid, seed list or "
-          "shard size (fingerprint mismatch)";
-      return result;
+    if (cs.fingerprint != result->fingerprint) {
+      result->error =
+          who + ": resume refused: the manifest was written for a different grid, seed list or "
+                "shard size (fingerprint mismatch)";
+      return false;
     }
-    if (cs.aggregates.size() != scenarios.size() || cs.shards_done > result.shard_count) {
-      result.error = "fleet: resume refused: manifest shape does not match the grid";
-      return result;
+    if (cs.aggregates.size() != scenarios.size() || cs.shards_done > result->shard_count) {
+      result->error = who + ": resume refused: manifest shape does not match the grid";
+      return false;
     }
     for (std::size_t s = 0; s < scenarios.size(); ++s) {
-      result.scenarios[s].agg = cs.aggregates[s];
+      result->scenarios[s].agg = cs.aggregates[s];
     }
-    result.failures = std::move(cs.failures);
-    result.quarantined = std::move(cs.quarantined);
-    result.digest_chain = cs.digest_chain;
-    result.sessions_resumed = cs.tasks_done;
-    frontier = cs.shards_done;
+    result->failures = std::move(cs.failures);
+    result->quarantined = std::move(cs.quarantined);
+    result->digest_chain = cs.digest_chain;
+    result->sessions_resumed = cs.tasks_done;
+    run->frontier = cs.shards_done;
     spool_resume_offset = cs.spool_offset;
-    quarantine_offset = cs.quarantine_offset;
+    run->quarantine_offset = cs.quarantine_offset;
   }
+  result->shards_done = run->frontier;
 
   // ---- Spool.
   SpoolOptions spool_opts = opts.spool;
-  if (spool_opts.format != SpoolFormat::kNone && spool_opts.path.empty() && checkpointing) {
+  if (spool_opts.format != SpoolFormat::kNone && spool_opts.path.empty() &&
+      run->checkpointing()) {
     spool_opts.path = opts.checkpoint_dir +
                       (spool_opts.format == SpoolFormat::kCsv ? "/spool.csv" : "/spool.jsonl");
   }
-  Spool spool;
-  {
-    std::string error;
-    if (!spool.open(spool_opts, spool_resume_offset, &error)) {
-      result.error = "fleet: " + error;
-      return result;
-    }
+  std::string error;
+  if (!run->spool.open(spool_opts, spool_resume_offset, &error)) {
+    result->error = who + ": " + error;
+    return false;
   }
+  return true;
+}
 
+bool write_manifest(DurableRun& run, const FleetResult& result, std::uint64_t tasks_done,
+                    std::string* error) {
+  // sync, not flush: the manifest's spool_offset must never point past
+  // bytes a power loss could still lose.
+  if (!run.spool.sync(error)) return false;
+  CheckpointState cs;
+  cs.fingerprint = result.fingerprint;
+  cs.shards_done = result.shards_done;
+  cs.tasks_done = tasks_done;
+  cs.digest_chain = result.digest_chain;
+  cs.spool_offset = run.spool.offset();
+  cs.quarantine_offset = run.quarantine_offset;
+  cs.aggregates.reserve(result.scenarios.size());
+  for (const auto& fs : result.scenarios) cs.aggregates.push_back(fs.agg);
+  cs.failures = result.failures;
+  cs.quarantined = result.quarantined;
+  return write_checkpoint(run.manifest, cs, error);
+}
+
+FleetResult run_fleet(const std::vector<exp::ScenarioSpec>& scenarios, const FleetOptions& opts) {
+  FleetResult result;
+  DurableRun run;
+  if (!open_durable_run(scenarios, opts, "fleet", &result, &run)) return result;
+  const ShardPlan& plan = run.plan;
+  const std::uint64_t frontier = run.frontier;
   std::uint64_t tasks_done = result.sessions_resumed;
-  result.shards_done = frontier;
-
-  const auto write_manifest = [&](std::string* error) {
-    // sync, not flush: the manifest's spool_offset must never point past
-    // bytes a power loss could still lose.
-    if (!spool.sync(error)) return false;
-    CheckpointState cs;
-    cs.fingerprint = result.fingerprint;
-    cs.shards_done = result.shards_done;
-    cs.tasks_done = tasks_done;
-    cs.digest_chain = result.digest_chain;
-    cs.spool_offset = spool.offset();
-    cs.quarantine_offset = quarantine_offset;
-    cs.aggregates.reserve(result.scenarios.size());
-    for (const auto& fs : result.scenarios) cs.aggregates.push_back(fs.agg);
-    cs.failures = result.failures;
-    cs.quarantined = result.quarantined;
-    return write_checkpoint(manifest_path(opts.checkpoint_dir), cs, error);
-  };
 
   // ---- Workers: execute shards, deposit outcomes into a reorder buffer.
   const std::size_t shard_count = result.shard_count;
@@ -196,17 +278,16 @@ FleetResult run_fleet(const std::vector<exp::ScenarioSpec>& scenarios, const Fle
         // serial loop below would produce them.
         for (std::size_t lo = 0; lo < shard.task_count; lo += batch) {
           const std::size_t hi = std::min(shard.task_count, lo + batch);
-          std::vector<exp::BatchTask> pack;
+          std::vector<BatchTask> pack;
           pack.reserve(hi - lo);
           for (std::size_t i = lo; i < hi; ++i) {
             const TaskRef ref = plan.task(shard.first_task + i);
             core::SessionHooks hooks;
             hooks.decision_backend = opts.decision_backend;
-            pack.push_back(exp::BatchTask{&scenarios[ref.scenario],
-                                          opts.seeds[ref.seed_index], std::move(hooks)});
+            pack.push_back(BatchTask{&scenarios[ref.scenario], opts.seeds[ref.seed_index],
+                                     std::move(hooks)});
           }
-          for (auto& o :
-               exp::run_task_batch(pack, opts.trace, lane_arenas, opts.task_timeout_ms)) {
+          for (auto& o : run_task_batch(pack, opts.trace, lane_arenas, opts.task_timeout_ms)) {
             outcomes.push_back(std::move(o));
           }
         }
@@ -264,12 +345,12 @@ FleetResult run_fleet(const std::vector<exp::ScenarioSpec>& scenarios, const Fle
       FleetScenario& fs = result.scenarios[ref.scenario];
       if (out.ok()) {
         fs.agg.add(out.result);
-        spool.append(fs.spec, opts.seeds[ref.seed_index], out.result);
+        run.spool.append(fs.spec, opts.seeds[ref.seed_index], out.result);
       } else {
         result.failures.push_back(CheckpointFailure{task_index, opts.seeds[ref.seed_index],
                                                     std::move(out.error)});
         fs.agg.all_finished = false;
-        spool.append_failure(fs.spec, opts.seeds[ref.seed_index]);
+        run.spool.append_failure(fs.spec, opts.seeds[ref.seed_index]);
       }
       // Failed tasks fold a zero digest, keeping the chain aligned with
       // the task order regardless of which tasks failed.
@@ -280,10 +361,10 @@ FleetResult run_fleet(const std::vector<exp::ScenarioSpec>& scenarios, const Fle
     result.shards_done = next + 1;
 
     const bool last = next + 1 == shard_count;
-    if (checkpointing &&
+    if (run.checkpointing() &&
         (last || (result.shards_done % opts.checkpoint_every_shards) == 0)) {
       std::string error;
-      if (!write_manifest(&error)) {
+      if (!write_manifest(run, result, tasks_done, &error)) {
         result.error = "fleet: " + error;
         shutdown();
         return result;
@@ -291,9 +372,9 @@ FleetResult run_fleet(const std::vector<exp::ScenarioSpec>& scenarios, const Fle
     }
     if (opts.on_progress && !opts.on_progress(result.shards_done, shard_count)) {
       result.stopped = true;
-      if (checkpointing) {
+      if (run.checkpointing()) {
         std::string error;
-        if (!write_manifest(&error)) result.error = "fleet: " + error;
+        if (!write_manifest(run, result, tasks_done, &error)) result.error = "fleet: " + error;
       }
       break;
     }
@@ -302,7 +383,7 @@ FleetResult run_fleet(const std::vector<exp::ScenarioSpec>& scenarios, const Fle
   shutdown();
   {
     std::string error;
-    if (!spool.close(&error) && result.error.empty()) result.error = "fleet: " + error;
+    if (!run.spool.close(&error) && result.error.empty()) result.error = "fleet: " + error;
   }
   return result;
 }

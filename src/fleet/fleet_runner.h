@@ -31,6 +31,7 @@
 #include "exp/aggregate.h"
 #include "exp/grid.h"
 #include "fleet/checkpoint.h"
+#include "fleet/shard_plan.h"
 #include "fleet/spool.h"
 
 namespace vafs::fleet {
@@ -43,9 +44,11 @@ struct FleetOptions {
   /// Sessions per shard (the checkpoint/fold granularity).
   std::size_t shard_size = 64;
   /// Sessions advanced in lockstep per worker (core::SessionBatch),
-  /// packed within each shard; 1 = the classic serial path. The digest
-  /// chain, checkpoint/resume bytes and fold order are identical at every
-  /// batch size.
+  /// packed within each shard; 1 = the classic serial path. This is how
+  /// bench_s1_serving holds ~1,024 live decision streams; it buys no
+  /// throughput. The digest chain, checkpoint/resume bytes and fold order
+  /// are identical at every batch size. supervise::run_supervised ignores
+  /// it (its workers run one task at a time).
   int batch = 1;
 
   /// Directory for the checkpoint manifest; empty disables checkpointing.
@@ -119,5 +122,37 @@ struct FleetResult {
 
 FleetResult run_fleet(const std::vector<exp::ScenarioSpec>& scenarios, const FleetOptions& opts);
 FleetResult run_fleet(const exp::ExperimentGrid& grid, const FleetOptions& opts);
+
+// ---- Durable-run plumbing shared by run_fleet and supervise::run_supervised.
+
+/// What a durable run starts from: the shard plan, the fold frontier and
+/// quarantine-log offset restored from a manifest, and the open spool.
+struct DurableRun {
+  ShardPlan plan;
+  /// Empty when checkpointing is off.
+  std::string manifest;
+  /// Shards already folded (restored on resume).
+  std::uint64_t frontier = 0;
+  /// Finalized quarantine.jsonl bytes; the supervisor advances it.
+  std::uint64_t quarantine_offset = 0;
+  Spool spool;
+
+  bool checkpointing() const { return !manifest.empty(); }
+};
+
+/// Brings up a durable run: fills result's scenarios, fingerprint and
+/// shard count; creates the checkpoint directory; on resume restores the
+/// fold state (aggregates, failures, quarantine list, digest chain,
+/// counters) from the manifest, refusing a corrupt one, one for another
+/// grid or one of the wrong shape; opens the spool, placed next to the
+/// manifest when it has no path. On failure sets result->error, prefixed
+/// with `who` ("fleet", "supervise"), and returns false.
+bool open_durable_run(const std::vector<exp::ScenarioSpec>& scenarios, const FleetOptions& opts,
+                      const std::string& who, FleetResult* result, DurableRun* run);
+
+/// Syncs the spool, then durably writes the manifest of result's fold
+/// state: result.shards_done shards, `tasks_done` tasks.
+bool write_manifest(DurableRun& run, const FleetResult& result, std::uint64_t tasks_done,
+                    std::string* error);
 
 }  // namespace vafs::fleet

@@ -10,7 +10,6 @@
 #include <cstdio>
 #include <cstring>
 #include <deque>
-#include <filesystem>
 #include <map>
 #include <optional>
 #include <set>
@@ -23,9 +22,9 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include "exp/json.h"
 #include "exp/runner.h"
 #include "fleet/io.h"
-#include "fleet/shard_plan.h"
 #include "obs/export.h"
 #include "supervise/wire.h"
 
@@ -33,8 +32,6 @@ namespace vafs::supervise {
 namespace {
 
 using Clock = std::chrono::steady_clock;
-
-std::string manifest_path(const std::string& dir) { return dir + "/manifest.ckpt"; }
 
 std::int64_t ms_between(Clock::time_point a, Clock::time_point b) {
   return std::chrono::duration_cast<std::chrono::milliseconds>(b - a).count();
@@ -61,43 +58,19 @@ std::string signal_label(int sig) {
   return name != nullptr ? std::string(name) : "SIG" + std::to_string(sig);
 }
 
-/// JSON string body escaping for the quarantine log (ASCII control chars,
-/// quotes, backslashes — scenario ids and stderr tails carry newlines).
-std::string json_escape(std::string_view text) {
-  std::string out;
-  out.reserve(text.size() + 8);
-  for (const char c : text) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", static_cast<unsigned>(c));
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
 /// One quarantine.jsonl line. Deterministic: no timestamps, no pids — the
 /// kill/resume byte-identity tests diff this file directly.
 std::string quarantine_json(const QuarantineRecord& q) {
-  std::string line = "{\"task\":" + std::to_string(q.task_index) + ",\"scenario\":\"" +
-                     json_escape(q.scenario) + "\",\"seed\":" + std::to_string(q.seed) +
+  std::string line = "{\"task\":" + std::to_string(q.task_index) +
+                     ",\"scenario\":" + exp::json_quote(q.scenario) +
+                     ",\"seed\":" + std::to_string(q.seed) +
                      ",\"attempts\":" + std::to_string(q.attempts) + ",\"fates\":[";
   for (std::size_t i = 0; i < q.fates.size(); ++i) {
     if (i > 0) line += ',';
-    line += '"' + json_escape(q.fates[i]) + '"';
+    exp::json_quote(line, q.fates[i]);
   }
-  line += "],\"stderr\":\"" + json_escape(q.stderr_tail) +
-          "\",\"last_trace_events\":" + std::to_string(q.last_trace_events) +
+  line += "],\"stderr\":" + exp::json_quote(q.stderr_tail) +
+          ",\"last_trace_events\":" + std::to_string(q.last_trace_events) +
           ",\"last_trace_digest\":\"" + obs::digest_hex(q.last_trace_digest) + "\"}\n";
   return line;
 }
@@ -374,81 +347,20 @@ SupervisedResult run_supervised(const std::vector<exp::ScenarioSpec>& scenarios,
                                 const fleet::FleetOptions& fopts, const SuperviseOptions& sopts) {
   using fleet::CheckpointFailure;
   using fleet::CheckpointQuarantine;
-  using fleet::CheckpointState;
 
   SupervisedResult result;
   fleet::FleetResult& fr = result.fleet;
-  fr.scenarios.reserve(scenarios.size());
-  for (const auto& spec : scenarios) fr.scenarios.push_back(fleet::FleetScenario{spec, {}});
-
-  const fleet::ShardPlan plan(scenarios.size(), fopts.seeds.size(), fopts.shard_size);
-  fr.fingerprint = fleet::grid_fingerprint(scenarios, fopts.seeds, plan.shard_size());
-  fr.shard_count = plan.shard_count();
+  fleet::DurableRun run;
+  if (!fleet::open_durable_run(scenarios, fopts, "supervise", &fr, &run)) return result;
+  result.quarantined_resumed = fr.quarantined.size();
+  const fleet::ShardPlan& plan = run.plan;
   const std::uint64_t task_count = plan.task_count();
-
-  const bool checkpointing = !fopts.checkpoint_dir.empty();
-  if (checkpointing) {
-    std::error_code ec;
-    std::filesystem::create_directories(fopts.checkpoint_dir, ec);
-    if (ec) {
-      fr.error =
-          "supervise: cannot create checkpoint dir '" + fopts.checkpoint_dir + "': " + ec.message();
-      return result;
-    }
-  }
-
-  // ---- Resume (same contract as run_fleet, plus the quarantine state).
-  std::uint64_t frontier_shard = 0;
-  std::uint64_t spool_resume_offset = 0;
-  std::uint64_t quarantine_offset = 0;
-  if (fopts.resume && checkpointing &&
-      std::filesystem::exists(manifest_path(fopts.checkpoint_dir))) {
-    CheckpointState cs;
-    std::string error;
-    if (!fleet::read_checkpoint(manifest_path(fopts.checkpoint_dir), &cs, &error)) {
-      fr.error = "supervise: resume failed: " + error;
-      return result;
-    }
-    if (cs.fingerprint != fr.fingerprint) {
-      fr.error =
-          "supervise: resume refused: the manifest was written for a different grid, seed list "
-          "or shard size (fingerprint mismatch)";
-      return result;
-    }
-    if (cs.aggregates.size() != scenarios.size() || cs.shards_done > fr.shard_count) {
-      fr.error = "supervise: resume refused: manifest shape does not match the grid";
-      return result;
-    }
-    for (std::size_t s = 0; s < scenarios.size(); ++s) fr.scenarios[s].agg = cs.aggregates[s];
-    fr.failures = std::move(cs.failures);
-    fr.quarantined = std::move(cs.quarantined);
-    fr.digest_chain = cs.digest_chain;
-    fr.sessions_resumed = cs.tasks_done;
-    result.quarantined_resumed = fr.quarantined.size();
-    frontier_shard = cs.shards_done;
-    spool_resume_offset = cs.spool_offset;
-    quarantine_offset = cs.quarantine_offset;
-  }
-
-  // ---- Spool (same placement rule as run_fleet).
-  fleet::SpoolOptions spool_opts = fopts.spool;
-  if (spool_opts.format != fleet::SpoolFormat::kNone && spool_opts.path.empty() && checkpointing) {
-    spool_opts.path =
-        fopts.checkpoint_dir +
-        (spool_opts.format == fleet::SpoolFormat::kCsv ? "/spool.csv" : "/spool.jsonl");
-  }
-  fleet::Spool spool;
-  {
-    std::string error;
-    if (!spool.open(spool_opts, spool_resume_offset, &error)) {
-      fr.error = "supervise: " + error;
-      return result;
-    }
-  }
+  const std::uint64_t frontier_shard = run.frontier;
+  std::uint64_t& quarantine_offset = run.quarantine_offset;
 
   // ---- Quarantine log.
   std::string quarantine_path = sopts.quarantine_path;
-  if (quarantine_path.empty() && checkpointing) {
+  if (quarantine_path.empty() && run.checkpointing()) {
     quarantine_path = fopts.checkpoint_dir + "/quarantine.jsonl";
   }
   int qfd = -1;
@@ -495,7 +407,6 @@ SupervisedResult run_supervised(const std::vector<exp::ScenarioSpec>& scenarios,
   std::uint64_t next_task = fold_next;  // next never-dispatched task
   std::uint64_t tasks_done = fr.sessions_resumed;
   std::uint64_t cur_shard = frontier_shard;
-  fr.shards_done = frontier_shard;
 
   struct Pending {
     enum Kind : std::uint8_t { kOk, kFailed, kQuarantined } kind = kOk;
@@ -516,23 +427,11 @@ SupervisedResult run_supervised(const std::vector<exp::ScenarioSpec>& scenarios,
   bool shutting_down = false;
 
   const auto write_manifest = [&](std::string* error) {
-    if (!spool.sync(error)) return false;
     if (qfd >= 0 && !fleet::fsync_fd(qfd, error)) {
       *error = "quarantine log fsync: " + *error;
       return false;
     }
-    CheckpointState cs;
-    cs.fingerprint = fr.fingerprint;
-    cs.shards_done = fr.shards_done;
-    cs.tasks_done = tasks_done;
-    cs.digest_chain = fr.digest_chain;
-    cs.spool_offset = spool.offset();
-    cs.quarantine_offset = quarantine_offset;
-    cs.aggregates.reserve(fr.scenarios.size());
-    for (const auto& fs : fr.scenarios) cs.aggregates.push_back(fs.agg);
-    cs.failures = fr.failures;
-    cs.quarantined = fr.quarantined;
-    return fleet::write_checkpoint(manifest_path(fopts.checkpoint_dir), cs, error);
+    return fleet::write_manifest(run, fr, tasks_done, error);
   };
 
   WorkerContext ctx;
@@ -650,14 +549,14 @@ SupervisedResult run_supervised(const std::vector<exp::ScenarioSpec>& scenarios,
       switch (p.kind) {
         case Pending::kOk:
           fs.agg.add_values(p.res.values, p.res.finished);
-          spool.append_values(fs.spec, seed, p.res.values, p.res.digest);
+          run.spool.append_values(fs.spec, seed, p.res.values, p.res.digest);
           fr.digest_chain = obs::chain_digest(fr.digest_chain, p.res.digest);
           ++fr.sessions_run;
           break;
         case Pending::kFailed:
           fr.failures.push_back(CheckpointFailure{fold_next, seed, std::move(p.error)});
           fs.agg.all_finished = false;
-          spool.append_failure(fs.spec, seed);
+          run.spool.append_failure(fs.spec, seed);
           fr.digest_chain = obs::chain_digest(fr.digest_chain, 0);
           ++fr.sessions_run;
           break;
@@ -698,7 +597,7 @@ SupervisedResult run_supervised(const std::vector<exp::ScenarioSpec>& scenarios,
         ++cur_shard;
         fr.shards_done = cur_shard;
         const bool last = fr.shards_done == fr.shard_count;
-        if (checkpointing &&
+        if (run.checkpointing() &&
             (last || (fr.shards_done % fopts.checkpoint_every_shards) == 0)) {
           std::string error;
           if (!write_manifest(&error)) {
@@ -709,7 +608,7 @@ SupervisedResult run_supervised(const std::vector<exp::ScenarioSpec>& scenarios,
         if (fopts.on_progress && !fopts.on_progress(fr.shards_done, fr.shard_count)) {
           stopped = true;
           fr.stopped = true;
-          if (checkpointing) {
+          if (run.checkpointing()) {
             std::string error;
             if (!write_manifest(&error)) fr.error = "supervise: " + error;
           }
@@ -1047,7 +946,7 @@ SupervisedResult run_supervised(const std::vector<exp::ScenarioSpec>& scenarios,
 
   {
     std::string error;
-    if (!spool.close(&error) && fr.error.empty()) fr.error = "supervise: " + error;
+    if (!run.spool.close(&error) && fr.error.empty()) fr.error = "supervise: " + error;
   }
   if (qfd >= 0) {
     std::string error;

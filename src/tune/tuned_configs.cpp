@@ -1,5 +1,6 @@
 #include "tune/tuned_configs.h"
 
+#include <cmath>
 #include <fstream>
 #include <sstream>
 
@@ -73,6 +74,12 @@ bool TunedConfigs::parse(std::string_view text, TunedConfigs* out, std::string* 
     for (const auto& [name, value] : params->members()) {
       if (value.kind() != exp::Json::Kind::kNumber) {
         return schema_fail(error, "param '" + name + "' is not a number");
+      }
+      // No knob means anything beyond ±1e9, and the integer and time
+      // conversions apply_knob makes overflow (undefined behaviour) well
+      // before ±inf.
+      if (!(std::fabs(value.number()) <= 1e9)) {
+        return schema_fail(error, "param '" + name + "' is out of range");
       }
       if (!apply_knob(name, value.number(), probe)) {
         return schema_fail(error, "unregistered knob '" + name + "' in cell '" + cell.cell + "'");

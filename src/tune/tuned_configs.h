@@ -42,7 +42,7 @@ class TunedConfigs {
  public:
   /// Parses artifact text. Returns false with a message on malformed
   /// JSON, a schema_version other than 1, a missing/malformed cells
-  /// array, or an unregistered knob name.
+  /// array, an unregistered knob name or a knob value beyond ±1e9.
   static bool parse(std::string_view text, TunedConfigs* out, std::string* error);
 
   /// parse() over a file's contents; false with a message when the file

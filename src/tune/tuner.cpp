@@ -315,7 +315,6 @@ class FleetEvaluator : public Evaluator {
     }
     fleet::FleetOptions fo;
     fo.jobs = opts_.jobs;
-    fo.batch = opts_.batch;
     fo.shard_size = opts_.shard_size;
     fo.seeds = req.seeds;
     fo.trace = true;

@@ -1,14 +1,12 @@
-// Tests for the lockstep batch path (core::SessionBatch and its plumbing
-// through exp::run_grid / fleet::run_fleet), organized around its one
-// correctness claim: batch == serial, bitwise, per session. Lanes share
-// nothing — each owns its Simulator / Rng / sysfs tree — so any lane
-// interleaving, any batch width, any lockstep quantum must produce the
-// exact SessionResult (and trace digest) the one-session-at-a-time path
-// produces. The differential tests pin that across batch sizes, job
-// counts, ragged chunks, staggered session lengths, fault plans firing
-// mid-batch, and kill/resume cycles; the API tests cover the SessionBatch
-// surface directly (admit/run/finish lifecycle, quantum invariance,
-// failure isolation and serial-exact error messages).
+// Tests for the lockstep batch path (core::SessionBatch and its one
+// executor, fleet::run_fleet), organized around its one correctness claim:
+// batch == serial, bitwise, per session. Lanes share nothing — each owns
+// its Simulator / Rng / sysfs tree — so any lane interleaving and any
+// batch width must produce the exact SessionResult (and trace digest)
+// core::run_session produces. The API tests pin that per session across
+// staggered session ends, fault plans firing mid-batch, retry RNG keying
+// and bring-up failures; the fleet tests pin it per grid across ragged
+// pack widths, job counts and kill/resume cycles.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -24,7 +22,6 @@
 #include "core/session_batch.h"
 #include "exp/aggregate.h"
 #include "exp/grid.h"
-#include "exp/runner.h"
 #include "fault/plan.h"
 #include "fleet/fleet_runner.h"
 #include "obs/trace.h"
@@ -94,262 +91,100 @@ void expect_identical(const core::SessionResult& a, const core::SessionResult& b
   }
 }
 
-/// Full-grid bitwise comparison: per-run results (digests included),
-/// failure lists (message-exact) and Welford aggregate state bits.
-void expect_grids_identical(const exp::ResultSet& a, const exp::ResultSet& b) {
-  ASSERT_EQ(a.all().size(), b.all().size());
-  for (std::size_t s = 0; s < a.all().size(); ++s) {
-    const exp::ScenarioResult& sa = a.all()[s];
-    const exp::ScenarioResult& sb = b.all()[s];
-    EXPECT_EQ(sa.spec.id, sb.spec.id);
-    ASSERT_EQ(sa.runs.size(), sb.runs.size());
-    for (std::size_t r = 0; r < sa.runs.size(); ++r) expect_identical(sa.runs[r], sb.runs[r]);
-    ASSERT_EQ(sa.failures.size(), sb.failures.size());
-    for (std::size_t f = 0; f < sa.failures.size(); ++f) {
-      EXPECT_EQ(sa.failures[f].seed_index, sb.failures[f].seed_index);
-      EXPECT_EQ(sa.failures[f].seed, sb.failures[f].seed);
-      EXPECT_EQ(sa.failures[f].message, sb.failures[f].message);
-    }
-    EXPECT_EQ(sa.agg.runs, sb.agg.runs);
-    EXPECT_EQ(sa.agg.all_finished, sb.agg.all_finished);
-    for (const auto& m : exp::Aggregate::metrics()) {
-      const sim::OnlineStats::State ma = (sa.agg.*m.member).state();
-      const sim::OnlineStats::State mb = (sb.agg.*m.member).state();
-      EXPECT_EQ(ma.n, mb.n) << m.name;
-      EXPECT_EQ(std::bit_cast<std::uint64_t>(ma.mean), std::bit_cast<std::uint64_t>(mb.mean))
-          << m.name;
-      EXPECT_EQ(std::bit_cast<std::uint64_t>(ma.m2), std::bit_cast<std::uint64_t>(mb.m2))
-          << m.name;
-    }
-  }
-}
-
-exp::ResultSet run_with(const std::vector<exp::ScenarioSpec>& scenarios,
-                        const std::vector<std::uint64_t>& seeds, int jobs, int batch) {
-  exp::RunOptions opts;
-  opts.jobs = jobs;
-  opts.batch = batch;
-  opts.seeds = seeds;
-  opts.trace = true;  // digests in every result: one reordered RNG draw shows up
-  return exp::run_grid(scenarios, opts);
-}
-
-// ---------------------------------------------------------- differential
-
-TEST(BatchDifferential, MatchesSerialAcrossBatchSizesAndJobs) {
-  exp::ExperimentGrid grid(small_config());
-  grid.governors({"ondemand", "schedutil", "vafs"}).reps({{0, "360p"}, {2, "720p"}});
-  const auto scenarios = grid.scenarios();
-  const std::vector<std::uint64_t> seeds = {101, 202};
-
-  const exp::ResultSet serial = run_with(scenarios, seeds, 1, 1);
-  ASSERT_GT(serial.all().front().run0().trace_events, 0u);
-
-  for (const int batch : {1, 4, 32}) {
-    for (const int jobs : {1, 4}) {
-      SCOPED_TRACE("batch=" + std::to_string(batch) + " jobs=" + std::to_string(jobs));
-      expect_grids_identical(serial, run_with(scenarios, seeds, jobs, batch));
-    }
-  }
-}
-
-TEST(BatchDifferential, RaggedChunksCoverEveryTask) {
-  // 2 scenarios x 5 seeds = 10 tasks: batch 4 gives chunks of 4, 4, 2 and
-  // batch 7 gives 7, 3 — the last pack is ragged either way, and a batch
-  // wider than the whole grid degenerates to one pack. Every cell must
-  // land in its slot regardless.
-  exp::ExperimentGrid grid(small_config());
-  grid.governors({"ondemand", "vafs"});
-  const auto scenarios = grid.scenarios();
-  const std::vector<std::uint64_t> seeds = {1, 2, 3, 4, 5};
-
-  const exp::ResultSet serial = run_with(scenarios, seeds, 1, 1);
-  for (const int batch : {3, 4, 7, 16}) {
-    SCOPED_TRACE("batch=" + std::to_string(batch));
-    expect_grids_identical(serial, run_with(scenarios, seeds, 1, batch));
-  }
-}
-
-TEST(BatchDifferential, StaggeredSessionEndsRetireLanesIndependently) {
-  // Lanes in one pack end at very different sim times (8 s through 40 s
-  // of media): short lanes retire and leave the wheel while long ones run
-  // on. One pack covers the whole grid, so every retirement happens
-  // mid-batch.
-  std::vector<std::pair<std::string, exp::ExperimentGrid::Mutator>> durations;
-  for (const int secs : {8, 20, 40}) {
-    durations.emplace_back(std::to_string(secs) + "s", [secs](core::SessionConfig& c) {
-      c.media_duration = sim::SimTime::seconds(secs);
-    });
-  }
-  exp::ExperimentGrid grid(small_config());
-  grid.governors({"ondemand", "vafs"}).axis("dur", std::move(durations));
-  const auto scenarios = grid.scenarios();
-  const std::vector<std::uint64_t> seeds = {101, 202};
-
-  const exp::ResultSet serial = run_with(scenarios, seeds, 1, 1);
-  // Durations really differ (wall time tracks media length).
-  const sim::SimTime w_short = serial.at({{"governor", "ondemand"}, {"dur", "8s"}}).run0().wall;
-  const sim::SimTime w_long = serial.at({{"governor", "ondemand"}, {"dur", "40s"}}).run0().wall;
-  ASSERT_LT(w_short, w_long);
-
-  expect_grids_identical(serial, run_with(scenarios, seeds, 1, 64));
-  expect_grids_identical(serial, run_with(scenarios, seeds, 4, 4));
-}
-
-TEST(BatchDifferential, FaultWindowsMidBatchMatchSerial) {
-  // The harsh fault plan (bandwidth collapses, thermal caps, fetch
-  // failures and hangs) fires while other lanes are interleaved on the
-  // same wheel; retries and backoff jitter draws must be untouched.
-  core::SessionConfig base = small_config();
-  base.media_duration = sim::SimTime::seconds(30);
-  base.fault = fault::FaultPlanConfig::harsh();
-  base.downloader.attempt_timeout = sim::SimTime::seconds(6);
-  base.downloader.max_attempts = 4;
-  base.vafs.watchdog.enabled = true;
-  exp::ExperimentGrid grid(base);
-  grid.governors({"ondemand", "vafs"});
-  const auto scenarios = grid.scenarios();
-  const std::vector<std::uint64_t> seeds = {101, 202, 303};
-
-  const exp::ResultSet serial = run_with(scenarios, seeds, 1, 1);
-  // The plan actually fired somewhere.
-  double windows = 0.0;
-  for (const auto& sr : serial.all()) {
-    for (const auto& run : sr.runs) windows += static_cast<double>(run.fault_windows);
-  }
-  ASSERT_GT(windows, 0.0);
-
-  for (const int batch : {2, 6}) {
-    for (const int jobs : {1, 4}) {
-      SCOPED_TRACE("batch=" + std::to_string(batch) + " jobs=" + std::to_string(jobs));
-      expect_grids_identical(serial, run_with(scenarios, seeds, jobs, batch));
-    }
-  }
-}
-
-TEST(BatchDifferential, RngKeyingUnchangedByBatchBoundaries) {
-  // Fetch fates and retry backoff jitter are keyed per (fetch, attempt),
-  // not drawn from any shared stream — so sliding the pack boundary
-  // across a retrying session (every batch width cuts the 8-task grid
-  // differently) must not move a single draw. The digests would show it.
-  core::SessionConfig base = small_config();
-  base.fault.fetch_failure_prob = 0.15;
-  base.fault.fetch_hang_prob = 0.05;
-  base.downloader.attempt_timeout = sim::SimTime::seconds(6);
-  base.downloader.max_attempts = 4;
-  exp::ExperimentGrid grid(base);
-  grid.governors({"ondemand", "vafs"});
-  const auto scenarios = grid.scenarios();
-  const std::vector<std::uint64_t> seeds = {11, 22, 33, 44};
-
-  const exp::ResultSet serial = run_with(scenarios, seeds, 1, 1);
-  double retries = 0.0;
-  for (const auto& sr : serial.all()) retries += sr.agg.fetch_retries.sum();
-  ASSERT_GT(retries, 0.0);
-
-  for (const int batch : {2, 3, 5, 8}) {
-    SCOPED_TRACE("batch=" + std::to_string(batch));
-    expect_grids_identical(serial, run_with(scenarios, seeds, 1, batch));
-  }
-}
-
-TEST(BatchDifferential, FailureMessagesMatchSerialExactly) {
-  // One scenario that throws at bring-up (kTrace with no trace) packed
-  // between two good ones: the bad cell's error string must be
-  // byte-identical to the serial path's, and the batchmates must come out
-  // bitwise untouched.
-  std::vector<exp::ScenarioSpec> scenarios(3);
-  scenarios[0].id = "good-a";
-  scenarios[0].config = small_config();
-  scenarios[1].id = "bad";
-  scenarios[1].config = small_config();
-  scenarios[1].config.net = core::NetProfile::kTrace;
-  scenarios[2].id = "good-b";
-  scenarios[2].config = small_config();
-  scenarios[2].config.governor = "vafs";
-  const std::vector<std::uint64_t> seeds = {101, 202};
-
-  const exp::ResultSet serial = run_with(scenarios, seeds, 1, 1);
-  ASSERT_EQ(serial.all()[1].failures.size(), 2u);
-  EXPECT_NE(serial.all()[1].failures[0].message.find("scenario 'bad' seed 101"),
-            std::string::npos);
-
-  for (const int batch : {2, 6}) {
-    for (const int jobs : {1, 4}) {
-      SCOPED_TRACE("batch=" + std::to_string(batch) + " jobs=" + std::to_string(jobs));
-      expect_grids_identical(serial, run_with(scenarios, seeds, jobs, batch));
-    }
-  }
-}
-
 // ------------------------------------------------------ SessionBatch API
 
-TEST(SessionBatchApi, AdmitRunFinishMatchesRunSession) {
-  const char* governors[] = {"ondemand", "schedutil", "vafs"};
+/// Every config shape a batch must not disturb, for one lockstep pack.
+std::vector<core::SessionConfig> batch_configs() {
+  std::vector<core::SessionConfig> configs;
+  for (const char* governor : {"ondemand", "schedutil", "vafs"}) {
+    configs.push_back(small_config());
+    configs.back().governor = governor;
+  }
+  // Staggered ends (8 s through 40 s of media): short lanes retire and
+  // leave the wheel while long ones run on.
+  for (const int secs : {8, 20, 40}) {
+    configs.push_back(small_config());
+    configs.back().media_duration = sim::SimTime::seconds(secs);
+  }
+  // The harsh fault plan (bandwidth collapses, thermal caps, fetch
+  // failures and hangs) fires while other lanes share the wheel.
+  for (const char* governor : {"ondemand", "vafs"}) {
+    core::SessionConfig c = small_config();
+    c.governor = governor;
+    c.media_duration = sim::SimTime::seconds(30);
+    c.fault = fault::FaultPlanConfig::harsh();
+    c.downloader.attempt_timeout = sim::SimTime::seconds(6);
+    c.downloader.max_attempts = 4;
+    c.vafs.watchdog.enabled = true;
+    configs.push_back(c);
+  }
+  // Fetch fates and retry backoff jitter are keyed per (fetch, attempt),
+  // not drawn from a shared stream, so interleaving retrying lanes must
+  // not move a single draw.
+  for (const std::uint64_t seed : {11, 22, 33}) {
+    core::SessionConfig c = small_config();
+    c.seed = seed;
+    c.fault.fetch_failure_prob = 0.15;
+    c.fault.fetch_hang_prob = 0.05;
+    c.downloader.attempt_timeout = sim::SimTime::seconds(6);
+    c.downloader.max_attempts = 4;
+    configs.push_back(c);
+  }
+  // Throws at bring-up (kTrace with no trace).
+  configs.push_back(small_config());
+  configs.back().net = core::NetProfile::kTrace;
+  return configs;
+}
 
-  std::vector<core::SessionResult> serial;
-  for (const char* governor : governors) {
-    core::SessionConfig config = small_config();
-    config.governor = governor;
+TEST(SessionBatchApi, AdmitRunFinishMatchesRunSession) {
+  const std::vector<core::SessionConfig> configs = batch_configs();
+
+  std::vector<core::SessionResult> serial(configs.size());
+  std::vector<std::string> serial_errors(configs.size());
+  for (std::size_t i = 0; i < configs.size(); ++i) {
     obs::Tracer tracer{obs::Tracer::Config{0}};
     core::SessionHooks hooks;
     hooks.tracer = &tracer;
-    serial.push_back(core::run_session(config, hooks));
+    try {
+      serial[i] = core::run_session(configs[i], hooks);
+    } catch (const core::SessionError& e) {
+      serial_errors[i] = e.what();
+    }
   }
+  // The shapes really occur: lengths differ, faults fire, fetches retry,
+  // and exactly the last config fails.
+  ASSERT_LT(serial[3].wall, serial[5].wall);
+  EXPECT_GT(serial[6].fault_windows + serial[7].fault_windows, 0u);
+  EXPECT_GT(serial[8].qoe.fetch_retries + serial[9].qoe.fetch_retries +
+                serial[10].qoe.fetch_retries,
+            0u);
+  ASSERT_FALSE(serial_errors.back().empty());
+  ASSERT_GT(serial.front().trace_events, 0u);
 
-  std::vector<core::SessionConfig> configs;
   std::deque<obs::Tracer> tracers;  // Tracer is pinned: deque, not vector
-  for (const char* governor : governors) {
-    configs.push_back(small_config());
-    configs.back().governor = governor;
-    tracers.emplace_back(obs::Tracer::Config{0});
-  }
   core::SessionBatch batch(configs.size());
+  std::vector<std::size_t> lanes;
   for (std::size_t i = 0; i < configs.size(); ++i) {
     core::SessionHooks hooks;
-    hooks.tracer = &tracers[i];
-    EXPECT_EQ(batch.admit(configs[i], hooks, nullptr), i);
+    hooks.tracer = &tracers.emplace_back(obs::Tracer::Config{0});
+    if (!serial_errors[i].empty()) {
+      try {
+        batch.admit(configs[i], hooks, nullptr);
+        ADD_FAILURE() << "config " << i << " admitted";
+      } catch (const core::SessionError& e) {
+        EXPECT_EQ(e.what(), serial_errors[i]);
+      }
+      continue;
+    }
+    lanes.push_back(batch.admit(configs[i], hooks, nullptr));
+    EXPECT_EQ(lanes.back(), i);
   }
-  EXPECT_EQ(batch.size(), 3u);
+  EXPECT_EQ(batch.size(), configs.size() - 1);
   batch.run();
   batch.run();  // idempotent: all lanes already retired
-  for (std::size_t i = 0; i < configs.size(); ++i) {
-    expect_identical(serial[i], batch.finish(i));
-  }
-}
-
-TEST(SessionBatchApi, QuantumDoesNotChangeResults) {
-  // Strict per-event lockstep (quantum 0), the default, and a quantum so
-  // large each lane runs to retirement in one burst: identical bits. The
-  // interleaving is unobservable because lanes share nothing.
-  const std::vector<sim::SimTime> quanta = {sim::SimTime{}, sim::SimTime::millis(250),
-                                            sim::SimTime::seconds(1000000)};
-  std::vector<std::vector<core::SessionResult>> per_quantum;
-  for (const sim::SimTime quantum : quanta) {
-    std::vector<core::SessionConfig> configs;
-    for (const char* governor : {"ondemand", "vafs"}) {
-      configs.push_back(small_config());
-      configs.back().governor = governor;
-    }
-    std::deque<obs::Tracer> tracers;
-    tracers.emplace_back(obs::Tracer::Config{0});
-    tracers.emplace_back(obs::Tracer::Config{0});
-    core::SessionBatch batch(configs.size(), quantum);
-    for (std::size_t i = 0; i < configs.size(); ++i) {
-      core::SessionHooks hooks;
-      hooks.tracer = &tracers[i];
-      batch.admit(configs[i], hooks, nullptr);
-    }
-    batch.run();
-    std::vector<core::SessionResult> results;
-    for (std::size_t i = 0; i < configs.size(); ++i) results.push_back(batch.finish(i));
-    per_quantum.push_back(std::move(results));
-  }
-  for (std::size_t q = 1; q < per_quantum.size(); ++q) {
-    for (std::size_t i = 0; i < per_quantum[0].size(); ++i) {
-      SCOPED_TRACE("quantum index " + std::to_string(q));
-      expect_identical(per_quantum[0][i], per_quantum[q][i]);
-    }
+  for (const std::size_t lane : lanes) {
+    SCOPED_TRACE("lane " + std::to_string(lane));
+    expect_identical(serial[lane], batch.finish(lane));
   }
 }
 
@@ -380,32 +215,52 @@ fleet::FleetOptions fleet_opts(const std::vector<std::uint64_t>& seeds, int jobs
   opts.jobs = jobs;
   opts.batch = batch;
   opts.seeds = seeds;
-  opts.shard_size = 3;
+  opts.shard_size = 8;
   return opts;
 }
 
 TEST(FleetBatch, DigestChainInvariantAcrossBatchAndJobs) {
+  // 3 scenarios x 5 seeds = 15 tasks in shards of 8 and 7. Packs are cut
+  // inside each shard, so every width leaves a ragged last pack somewhere
+  // (batch 3: 3,3,2 | 3,3,1; batch 7: 7,1 | 7) and 16 or 32 take a whole
+  // shard. The "bad" scenario throws at bring-up between good batchmates:
+  // its failure entries must match serial to the byte.
   exp::ExperimentGrid grid(small_config());
   grid.governors({"ondemand", "vafs"});
-  const auto scenarios = grid.scenarios();
+  std::vector<exp::ScenarioSpec> scenarios = grid.scenarios();
+  exp::ScenarioSpec bad;
+  bad.id = "bad";
+  bad.config = small_config();
+  bad.config.net = core::NetProfile::kTrace;
+  scenarios.insert(scenarios.begin() + 1, bad);
   const std::vector<std::uint64_t> seeds = {101, 202, 303, 404, 505};
 
   const fleet::FleetResult serial = fleet::run_fleet(scenarios, fleet_opts(seeds, 1, 1));
   ASSERT_TRUE(serial.ok()) << serial.error;
   ASSERT_NE(serial.digest_chain, 0u);
+  ASSERT_EQ(serial.failures.size(), seeds.size());
+  EXPECT_NE(serial.failures[0].message.find("scenario 'bad' seed 101"), std::string::npos);
 
-  for (const int batch : {2, 7, 32}) {
+  for (const int batch : {3, 4, 7, 16, 32}) {
     for (const int jobs : {1, 4}) {
       SCOPED_TRACE("batch=" + std::to_string(batch) + " jobs=" + std::to_string(jobs));
       const fleet::FleetResult result = fleet::run_fleet(scenarios, fleet_opts(seeds, jobs, batch));
       ASSERT_TRUE(result.ok()) << result.error;
       EXPECT_TRUE(result.complete());
       EXPECT_EQ(result.digest_chain, serial.digest_chain);
+      ASSERT_EQ(result.failures.size(), serial.failures.size());
+      for (std::size_t f = 0; f < serial.failures.size(); ++f) {
+        EXPECT_EQ(result.failures[f].task_index, serial.failures[f].task_index);
+        EXPECT_EQ(result.failures[f].seed, serial.failures[f].seed);
+        EXPECT_EQ(result.failures[f].message, serial.failures[f].message);
+      }
       ASSERT_EQ(result.scenarios.size(), serial.scenarios.size());
       for (std::size_t s = 0; s < serial.scenarios.size(); ++s) {
+        EXPECT_EQ(result.scenarios[s].agg.all_finished, serial.scenarios[s].agg.all_finished);
         for (const auto& m : exp::Aggregate::metrics()) {
           const sim::OnlineStats::State ma = (serial.scenarios[s].agg.*m.member).state();
           const sim::OnlineStats::State mb = (result.scenarios[s].agg.*m.member).state();
+          EXPECT_EQ(ma.n, mb.n) << m.name;
           EXPECT_EQ(std::bit_cast<std::uint64_t>(ma.mean), std::bit_cast<std::uint64_t>(mb.mean))
               << m.name;
           EXPECT_EQ(std::bit_cast<std::uint64_t>(ma.m2), std::bit_cast<std::uint64_t>(mb.m2))
@@ -456,6 +311,24 @@ TEST(FleetBatch, KillAndResumeInBatchModeMatchesSerialSpool) {
   EXPECT_EQ(resumed.digest_chain, whole.digest_chain);
   EXPECT_GT(resumed.sessions_resumed, 0u);
   EXPECT_EQ(slurp(dir / "spool.csv"), ref_spool);
+}
+
+// The cooperative wall-clock deadline reaches lanes of a lockstep pack
+// exactly as it reaches a serial task.
+TEST(Runner, TaskTimeoutAppliesOnTheBatchPathToo) {
+  core::SessionConfig config = small_config();
+  config.media_duration = sim::SimTime::seconds(600);
+  exp::ExperimentGrid grid(config);
+  grid.governors({"ondemand"});
+
+  fleet::FleetOptions opts = fleet_opts({101, 202, 303}, 1, 3);
+  opts.task_timeout_ms = 1;
+  const fleet::FleetResult result = fleet::run_fleet(grid.scenarios(), opts);
+  ASSERT_TRUE(result.ok()) << result.error;
+  EXPECT_FALSE(result.failures.empty());
+  for (const fleet::CheckpointFailure& f : result.failures) {
+    EXPECT_NE(f.message.find("wall-clock task timeout"), std::string::npos) << f.message;
+  }
 }
 
 }  // namespace

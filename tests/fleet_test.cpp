@@ -24,6 +24,7 @@
 #include <vector>
 
 #include "exp/grid.h"
+#include "exp/json.h"
 #include "exp/runner.h"
 #include "fault/plan.h"
 #include "fleet/checkpoint.h"
@@ -693,6 +694,36 @@ TEST(Spool, JsonlRowsCarryTheSchema) {
     ++rows;
   }
   EXPECT_EQ(rows, scenarios.size() * opts.seeds.size());  // one object per session
+}
+
+/// Scenario ids are free text: a control character in one must still
+/// spool a valid JSONL row that parses back to the same id.
+TEST(Spool, ControlCharactersInIdsSpoolValidJson) {
+  const fs::path dir = fresh_dir("jsonl_escape");
+  exp::ScenarioSpec spec;
+  spec.id = "line\nbreak\x01\"quoted\\";
+  SpoolOptions options;
+  options.format = SpoolFormat::kJsonl;
+  options.path = (dir / "spool.jsonl").string();
+  Spool spool;
+  std::string error;
+  ASSERT_TRUE(spool.open(options, 0, &error)) << error;
+  spool.append(spec, 101, core::SessionResult{});
+  spool.append_failure(spec, 202);
+  ASSERT_TRUE(spool.close(&error)) << error;
+
+  std::istringstream lines(slurp(options.path));
+  std::string line;
+  std::size_t rows = 0;
+  while (std::getline(lines, line)) {
+    exp::Json row;
+    ASSERT_TRUE(exp::json_parse(line, &row, &error)) << error << ": " << line;
+    const exp::Json* id = row.find("scenario");
+    ASSERT_NE(id, nullptr);
+    EXPECT_EQ(id->str(), spec.id);
+    ++rows;
+  }
+  EXPECT_EQ(rows, 2u);
 }
 
 // ------------------------------------------------- durable-write injection

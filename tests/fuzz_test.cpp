@@ -13,6 +13,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstring>
@@ -22,6 +23,7 @@
 #include <new>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -37,6 +39,7 @@
 #include "serve/wire.h"
 #include "simcore/rng.h"
 #include "tune/param_space.h"
+#include "tune/tuned_configs.h"
 #include "tune/tuner.h"
 
 namespace vafs {
@@ -425,6 +428,103 @@ TEST_P(ParamSpaceFuzz, RandomSpacesValidateAndSearchInBounds) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ParamSpaceFuzz,
                          ::testing::Range<std::uint64_t>(4000, 4024));  // 24 random spaces
+
+// ------------------------------------------------ Tuned-artifact fuzzing
+//
+// tuned_configs.json is read back from disk, so it is a trust boundary
+// like the wire. Seeded mutations of a valid artifact (truncation, byte
+// flips, wrong kinds, huge and out-of-range numbers, deep nesting) must
+// each be refused with a message or parse to cells whose every knob is
+// registered. Nothing may crash.
+
+constexpr std::string_view kTunedArtifact =
+    R"({"schema_version":1,"cells":[{"cell":"flagship/fair","profile":"flagship",)"
+    R"("net":"fair","governor":"vafs","feasible":true,"params":{"safety_margin":0.05,)"
+    R"("predictor_window":16,"boost_ms":750,"watchdog_hysteresis_s":2},)"
+    R"("objective":{"energy_mj":81314.5,"rebuffer_ratio":0,"drop_pct":0}}]})";
+
+std::string mutate_artifact(sim::Rng& rng) {
+  std::string text(kTunedArtifact);
+  const auto pick = [&](std::size_t n) {
+    return static_cast<std::size_t>(rng.uniform_int(0, static_cast<std::int64_t>(n) - 1));
+  };
+  // Replaces one occurrence of `from`, chosen at random among all of them.
+  const auto replace_one = [&](std::string_view from, std::string_view to) {
+    std::vector<std::size_t> at;
+    for (std::size_t p = text.find(from); p != std::string::npos; p = text.find(from, p + 1)) {
+      at.push_back(p);
+    }
+    if (!at.empty()) text.replace(at[pick(at.size())], from.size(), to);
+  };
+  switch (rng.uniform_int(0, 4)) {
+    case 0:  // truncation
+      text.resize(pick(text.size()));
+      break;
+    case 1:  // byte flips
+      for (int i = static_cast<int>(rng.uniform_int(1, 8)); i > 0; --i) {
+        text[pick(text.size())] ^= static_cast<char>(rng.uniform_int(1, 255));
+      }
+      break;
+    case 2: {  // wrong kinds
+      const std::pair<std::string_view, std::string_view> swaps[] = {
+          {"0.05", "\"0.05\""}, {"16", "[16]"},        {"true", "1"},
+          {"\"fair\"", "7"},     {"1,", "\"1\","},       {"[{", "{"},
+          {"{\"safety", "[{\"safety"}, {"\"params\":{", "\"params\":null,\"x\":{"},
+          {"750", "{}"},          {"\"cells\":[", "\"cells\":[1,"}};
+      const auto& [from, to] = swaps[pick(std::size(swaps))];
+      replace_one(from, to);
+      break;
+    }
+    case 3: {  // huge, tiny and out-of-range numbers
+      const std::string_view numbers[] = {"1e308",  "-1e308", "1e999",  "-1e999", "1e-999",
+                                          "4e9",    "-4e9",   "1e19",   "NaN",    "Infinity",
+                                          "-0",     "1e-310", "9223372036854775808"};
+      const std::string_view targets[] = {"0.05", "16", "750", ":2}", "81314.5"};
+      const std::string_view target = targets[pick(std::size(targets))];
+      std::string to(numbers[pick(std::size(numbers))]);
+      if (target == ":2}") to = ":" + to + "}";
+      replace_one(target, to);
+      break;
+    }
+    default: {  // deep nesting around one value
+      const std::size_t depth = pick(4096) + 1;
+      replace_one("16", std::string(depth, '[') + "16" + std::string(depth, ']'));
+      break;
+    }
+  }
+  return text;
+}
+
+class TunedConfigsFuzz : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(TunedConfigsFuzz, MutatedArtifactsAreRefusedOrParseToRegisteredKnobs) {
+  const std::vector<std::string> knobs = tune::ParamSpace::knob_names();
+  tune::TunedConfigs configs;
+  std::string error;
+  ASSERT_TRUE(tune::TunedConfigs::parse(kTunedArtifact, &configs, &error)) << error;
+  ASSERT_EQ(configs.cells().size(), 1u);
+
+  sim::Rng rng(GetParam());
+  for (int i = 0; i < 200; ++i) {
+    const std::string text = mutate_artifact(rng);
+    error.clear();
+    if (!tune::TunedConfigs::parse(text, &configs, &error)) {
+      EXPECT_FALSE(error.empty()) << text;
+      continue;
+    }
+    for (const tune::TunedCell& cell : configs.cells()) {
+      core::SessionConfig cfg;
+      cell.apply(cfg);
+      for (const auto& [name, value] : cell.params) {
+        EXPECT_TRUE(std::binary_search(knobs.begin(), knobs.end(), name)) << name;
+        EXPECT_TRUE(std::isfinite(value)) << name << " in " << text;
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, TunedConfigsFuzz,
+                         ::testing::Range<std::uint64_t>(5000, 5016));  // 3,200 artifacts
 
 // ------------------------------------------------------- Wire-protocol fuzzing
 //

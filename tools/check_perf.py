@@ -48,24 +48,12 @@ BASELINE_METRICS = {
     "throughput:t1_events_per_sec": "higher",
     "throughput:net_sessions_per_sec": "higher",
     "throughput:net_events_per_sec": "higher",
-    "throughput:t1_batch4_sessions_per_sec": "higher",
-    "throughput:t1_batch8_sessions_per_sec": "higher",
-    "throughput:t1_batch32_sessions_per_sec": "higher",
     "f9:BM_EventScheduleAndFire": "lower",
     "f9:BM_VafsPlanDecision": "lower",
     "f9:BM_FullSessionSimulation": "lower",
     "s1:decisions_per_sec": "higher",
     "s1:decision_rtt_p50_us": "lower",
     "s1:decision_rtt_p99_us": "lower",
-}
-
-# The serial reference each batch metric is compared against in the
-# serial-vs-batch delta table (informational; the regression gate above is
-# what fails the build).
-BATCH_METRIC_SERIAL_REF = {
-    "throughput:t1_batch4_sessions_per_sec": "throughput:t1_sessions_per_sec",
-    "throughput:t1_batch8_sessions_per_sec": "throughput:t1_sessions_per_sec",
-    "throughput:t1_batch32_sessions_per_sec": "throughput:t1_sessions_per_sec",
 }
 
 
@@ -130,30 +118,6 @@ def fmt(value: float) -> str:
     if value >= 1000:
         return f"{value:,.0f}"
     return f"{value:.3g}"
-
-
-def batch_delta_table(current: dict[str, float]) -> str:
-    """Markdown table of batch-mode throughput vs its serial reference.
-
-    Informational (the regression gate handles pass/fail): shows what the
-    lockstep batch path delivers relative to one-session-at-a-time on the
-    same run, for the job summary.
-    """
-    rows = []
-    for name, ref in BATCH_METRIC_SERIAL_REF.items():
-        if name in current and ref in current and current[ref] > 0:
-            rows.append((name, current[ref], current[name], current[name] / current[ref]))
-    if not rows:
-        return ""
-    lines = [
-        "### Serial vs batch throughput",
-        "",
-        "| metric | serial | batch | speedup |",
-        "|---|---:|---:|---:|",
-    ]
-    for name, serial, batch, ratio in rows:
-        lines.append(f"| `{name}` | {fmt(serial)} | {fmt(batch)} | {ratio:.2f}x |")
-    return "\n".join(lines)
 
 
 def best_fleet_run(paths: list[str], label: str) -> tuple[float, str]:
@@ -297,17 +261,10 @@ def check(baseline_path: str, current: dict[str, float], threshold: float) -> in
     table = "\n".join(lines)
     print(table)
 
-    batch_table = batch_delta_table(current)
-    if batch_table:
-        print()
-        print(batch_table)
-
     summary_path = os.environ.get("GITHUB_STEP_SUMMARY")
     if summary_path:
         with open(summary_path, "a", encoding="utf-8") as fh:
             fh.write(table + "\n")
-            if batch_table:
-                fh.write("\n" + batch_table + "\n")
 
     if failures:
         print("\nperf gate FAILED:", file=sys.stderr)
